@@ -1,15 +1,20 @@
 """Reduced monic lex Groebner bases via Buchberger's algorithm.
 
-The pair queue uses the normal selection strategy (lex-smallest lcm
-first) with the coprime-lcm and chain criteria for pruning.  After the
-basis stabilises it is fully inter-reduced and normalised monic, so the
-result is the unique reduced basis of the ideal: independent of
-generator order, generator scaling and selection details.
+Each generator enters reduced modulo the basis so far, and every new
+element is installed by the Gebauer-Moeller update (Gebauer & Moeller,
+J. Symb. Comp. 1988): criteria M and F thin the new pairs, coprime pairs
+are dropped after them, criterion B_k drops old pairs the new element
+makes redundant, and basis elements whose leading monomial it divides
+leave the basis.  The basis therefore stays minimal.  Pairs are taken by
+the normal selection strategy (lex-smallest lcm first, ties by index)
+and their S-polynomials reduced modulo the current basis.  At the end
+the basis is tail-reduced and sorted, so the result is the unique
+reduced monic basis of the ideal: independent of generator order,
+generator scaling and selection details.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -56,10 +61,19 @@ class PairLimitExceeded(RuntimeError):
 
 @dataclass
 class BuchbergerStats:
+    """Deterministic pair counters of one Buchberger run.
+
+    Every pair formed is considered once: it is reduced, dropped by a
+    criterion, or (only when the pair budget runs out) still pending.
+    """
+
     pairs_considered: int = 0
     pairs_reduced: int = 0
     zero_reductions: int = 0
     elements_added: int = 0
+    pairs_dropped_coprime: int = 0
+    pairs_dropped_mf: int = 0
+    pairs_dropped_bk: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,17 +108,6 @@ class EliminationView:
         return len(self.elements)
 
 
-def _prepare(generators: Iterable[MultiPoly]):
-    polys = []
-    for g in generators:
-        if g is None or g.is_zero:
-            continue
-        m = g.monic()
-        if m not in polys:
-            polys.append(m)
-    return polys
-
-
 def buchberger(
     generators: Iterable[MultiPoly], *, pair_limit: int = DEFAULT_PAIR_LIMIT
 ) -> GroebnerBasis:
@@ -114,81 +117,116 @@ def buchberger(
     pair budget guards against runaway inputs and raises
     PairLimitExceeded with progress counters when exhausted.
     """
-    basis = _prepare(generators)
-    if not basis:
+    stats = BuchbergerStats()
+    polys: list = []  # every element ever installed; pairs index into it
+    lead: list = []
+    active: list = []  # indices of the current basis G
+    pairs: list = []  # the pair set B as (lcm, i, j) with i < j
+
+    def install(h: MultiPoly):
+        h = h.monic()
+        k = len(polys)
+        polys.append(h)
+        lead.append(h.leading_monomial)
+        _update(lead, active, pairs, k, stats)
+
+    # each generator enters reduced modulo G, so G stays minimal
+    for g in generators:
+        if g is None or g.is_zero:
+            continue
+        h = normal_form(g, [polys[t] for t in active])
+        if not h.is_zero:
+            install(h)
+    if not active:
         raise ValueError("no nonzero generators")
 
-    stats = BuchbergerStats()
-    lead = [p.leading_monomial for p in basis]
-
-    heap: list = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heapq.heappush(heap, (mono_lcm(lead[i], lead[j]), i, j))
-    done = set()
-
-    while heap:
-        lcm, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        stats.pairs_considered += 1
-
-        # first criterion: coprime leading monomials reduce to zero
-        if lcm == mono_mul(lead[i], lead[j]):
-            continue
-        # chain criterion: a third element bridging an already-handled pair
-        if any(
-            k not in (i, j)
-            and mono_divides(lead[k], lcm)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
-        ):
-            continue
+    while pairs:
+        pair = min(pairs)  # normal strategy: lex-smallest lcm, then (i, j)
+        pairs.remove(pair)
+        _, i, j = pair
 
         stats.pairs_reduced += 1
         if stats.pairs_reduced > pair_limit:
             raise PairLimitExceeded(pair_limit, stats)
 
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        remainder = normal_form(
+            s_polynomial(polys[i], polys[j]), [polys[t] for t in active]
+        )
         if remainder.is_zero:
             stats.zero_reductions += 1
             continue
-
-        remainder = remainder.monic()
-        basis.append(remainder)
-        lead.append(remainder.leading_monomial)
         stats.elements_added += 1
-        k = len(basis) - 1
-        for t in range(k):
-            heapq.heappush(heap, (mono_lcm(lead[t], lead[k]), t, k))
+        install(remainder)
 
-    reduced = _inter_reduce(basis)
+    reduced = _inter_reduce([polys[t] for t in active])
     return GroebnerBasis(tuple(reduced), stats=stats)
 
 
-def _inter_reduce(polys: Sequence[MultiPoly]):
-    """Minimalise and tail-reduce to the unique reduced monic basis."""
-    # keep only elements whose leading monomial no other element divides
-    candidates = sorted((p.monic() for p in polys), key=lambda p: p.leading_monomial)
-    minimal: list = []
-    for p in candidates:
-        if not any(mono_divides(q.leading_monomial, p.leading_monomial) for q in minimal):
-            minimal.append(p)
+def _update(lead, active, pairs, k, stats) -> None:
+    """Gebauer-Moeller update of the basis G and pair set B for element k.
 
-    # tail-reduce each element against all the others until stable
+    lead[k] must be irreducible modulo the leading monomials of G; G and
+    B are changed in place.
+    """
+    lm = lead[k]
+    new = [(mono_lcm(lead[t], lm), t) for t in active]
+    stats.pairs_considered += len(new)
+
+    # criteria M and F: drop a new pair whose lcm another new pair's lcm
+    # divides (properly, or equally and still pending or already kept).
+    # Coprime pairs are kept through this step so that they can eliminate
+    # the pairs they dominate, and dropped afterwards.
+    kept = []
+    for pos, (lcm, t) in enumerate(new):
+        coprime = lcm == mono_mul(lead[t], lm)
+        if coprime or not (
+            any(mono_divides(other, lcm) for other, _ in new[pos + 1 :])
+            or any(mono_divides(other, lcm) for other, _, _ in kept)
+        ):
+            kept.append((lcm, t, coprime))
+        else:
+            stats.pairs_dropped_mf += 1
+
+    # criterion B_k: an old pair whose lcm lm divides is redundant, unless
+    # its lcm is also the lcm of one of its elements with the new one
+    old = []
+    for lcm, i, j in pairs:
+        if (
+            mono_divides(lm, lcm)
+            and lcm != mono_lcm(lead[i], lm)
+            and lcm != mono_lcm(lead[j], lm)
+        ):
+            stats.pairs_dropped_bk += 1
+        else:
+            old.append((lcm, i, j))
+    pairs[:] = old
+
+    for lcm, t, coprime in kept:
+        if coprime:
+            stats.pairs_dropped_coprime += 1
+        else:
+            pairs.append((lcm, t, k))
+
+    active[:] = [t for t in active if not mono_divides(lm, lead[t])]
+    active.append(k)
+
+
+def _inter_reduce(polys: Sequence[MultiPoly]):
+    """Tail-reduce a minimal monic basis to the unique reduced basis."""
+    polys = list(polys)
     changed = True
     while changed:
         changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
+        for idx in range(len(polys)):
+            others = polys[:idx] + polys[idx + 1 :]
             if not others:
                 continue
-            r = normal_form(minimal[idx], others).monic()
-            if r != minimal[idx]:
-                minimal[idx] = r
+            r = normal_form(polys[idx], others).monic()
+            if r != polys[idx]:
+                polys[idx] = r
                 changed = True
 
-    return sorted(minimal, key=lambda p: p.leading_monomial, reverse=True)
+    return sorted(polys, key=lambda p: p.leading_monomial, reverse=True)
 
 
 def is_groebner_basis(polys: Sequence[MultiPoly]) -> bool:

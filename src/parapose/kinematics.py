@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .gaussrat import GaussianRational
-from .groebner import GroebnerBasis, buchberger, elimination_basis
+from .groebner import BuchbergerStats, GroebnerBasis, buchberger, elimination_basis
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
 from .rootfind import find_roots
@@ -284,16 +284,19 @@ def solve_posture(
         )
     eliminant = _eliminant_unipoly(view.elements[0])
 
-    try:
-        self_reciprocal = is_self_reciprocal(eliminant)
-    except ValueError:
-        self_reciprocal = False
+    # AL*CCAL - 1 lies in the ideal, so CCAL is invertible modulo the
+    # eliminant and its constant term is nonzero
+    self_reciprocal = is_self_reciprocal(eliminant)
 
+    stats = basis.stats or BuchbergerStats()
     diagnostics = {
         "basis_size": len(basis.elements),
-        "pairs_considered": basis.stats.pairs_considered if basis.stats else 0,
-        "pairs_reduced": basis.stats.pairs_reduced if basis.stats else 0,
-        "zero_reductions": basis.stats.zero_reductions if basis.stats else 0,
+        "pairs_considered": stats.pairs_considered,
+        "pairs_reduced": stats.pairs_reduced,
+        "zero_reductions": stats.zero_reductions,
+        "pairs_dropped_coprime": stats.pairs_dropped_coprime,
+        "pairs_dropped_mf": stats.pairs_dropped_mf,
+        "pairs_dropped_bk": stats.pairs_dropped_bk,
         "eliminant_degree": eliminant.degree,
     }
 

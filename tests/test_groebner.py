@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parapose.gaussrat import GaussianRational
 from parapose.groebner import (
@@ -11,7 +13,7 @@ from parapose.groebner import (
     elimination_basis,
     is_groebner_basis,
 )
-from parapose.multipoly import MultiPoly, mono_divides, normal_form
+from parapose.multipoly import MultiPoly, N_VARS, mono_divides, normal_form, parse_poly
 
 X, Y = MultiPoly.variable(0), MultiPoly.variable(1)
 
@@ -36,6 +38,77 @@ def random_system(rng, max_vars=3, max_degree=3):
         if not p.is_zero:
             polys.append(p)
     return polys
+
+
+gauss_coeffs = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-2, 2)
+).filter(lambda c: not c.is_zero)
+
+
+@st.composite
+def small_ideals(draw):
+    """Two or three generators over three of the eight variables, degree <= 2.
+
+    Returns the generators, a permutation of them and one nonzero scale
+    per generator.
+    """
+    variables = draw(
+        st.lists(st.integers(0, N_VARS - 1), min_size=3, max_size=3, unique=True)
+    )
+
+    def monomial(exps):
+        mono = [0] * N_VARS
+        for v, e in zip(variables, exps):
+            mono[v] = e
+        return tuple(mono)
+
+    monomials = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2)
+    generators = draw(
+        st.lists(
+            st.dictionaries(monomials.map(monomial), gauss_coeffs, min_size=1, max_size=3),
+            min_size=2,
+            max_size=3,
+        ).map(lambda gens: [MultiPoly(terms) for terms in gens])
+    )
+    order = draw(st.permutations(range(len(generators))))
+    scales = draw(st.lists(gauss_coeffs, min_size=len(generators), max_size=len(generators)))
+    return generators, order, scales
+
+
+def assert_reduced_monic(elements):
+    leads = [g.leading_monomial for g in elements]
+    for idx, g in enumerate(elements):
+        assert g.leading_coefficient == GaussianRational(1)
+        for m, _ in g.terms:
+            assert not any(mono_divides(lm, m) for k, lm in enumerate(leads) if k != idx)
+
+
+def check_reduced_basis(generators, order, scales):
+    """The basis is a reduced monic Groebner basis of <generators>, and
+    permuting or rescaling the generators leaves it unchanged."""
+    gb = buchberger(generators)
+    elements = list(gb.elements)
+    assert is_groebner_basis(elements)
+    assert_reduced_monic(elements)
+    s = gb.stats
+    assert s.pairs_considered == s.pairs_reduced + s.pairs_dropped_coprime + (
+        s.pairs_dropped_mf + s.pairs_dropped_bk
+    )
+    for f in generators:
+        assert normal_form(f, elements).is_zero
+    permuted = [generators[k] * scales[k] for k in order]
+    assert list(buchberger(permuted).elements) == elements
+
+
+# Small systems on which a wrong pair criterion loses a needed S-pair:
+# B_k without its two lcm exceptions, or criterion F dropping every pair
+# of a repeated lcm instead of keeping one.
+CRITERIA_CASES = (
+    "(-3+2*I)*CCA*CCB + 3*CCC ; (-1+I)*CCB ; (-1-2*I)*CCA",
+    "(1-2*I)*CA*CB^2 + (-3+I) ; (-3+2*I)*CA^2*CB + 3*CA*AL^2",
+    "(-3+I)*CA*CCAL^2 + (-3+I) ; (3-2*I)*CCC*CCAL^2 + (3+I)*CCC*CCAL",
+    "-2*CA*CB ; (3-I)*CB*CC ; (2-I)*CA*CC^2 + (2-I)",
+)
 
 
 class TestBuchberger:
@@ -76,15 +149,7 @@ class TestBuchberger:
             assert normal_form(f, list(basis1.elements)).is_zero
 
     def test_reduced_and_monic(self, basis1):
-        elements = list(basis1.elements)
-        for g in elements:
-            assert g.leading_coefficient == GaussianRational(1)
-        for i, g in enumerate(elements):
-            other_leads = [
-                h.leading_monomial for j, h in enumerate(elements) if j != i
-            ]
-            for m, _ in g.terms:
-                assert not any(mono_divides(lm, m) for lm in other_leads)
+        assert_reduced_monic(list(basis1.elements))
 
     def test_elements_sorted_descending(self, basis1):
         leads = [g.leading_monomial for g in basis1.elements]
@@ -122,6 +187,17 @@ class TestBuchberger:
             for f in system:
                 assert normal_form(f, elements).is_zero
             checked += 1
+
+    @given(small_ideals())
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    def test_reduced_basis_property(self, case):
+        check_reduced_basis(*case)
+
+    @pytest.mark.parametrize("text", CRITERIA_CASES)
+    def test_pair_criteria_keep_needed_pairs(self, text):
+        generators = [parse_poly(t) for t in text.split(";")]
+        n = len(generators)
+        check_reduced_basis(generators, range(n)[::-1], [GaussianRational(0, 1)] * n)
 
 
 class TestGroebnerPredicate:

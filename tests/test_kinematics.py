@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -269,6 +270,21 @@ class TestSolvePosture:
         assert rep.diagnostics["physical_count"] == 2
         assert rep.diagnostics["root_iterations"] > 0
 
+    @pytest.mark.parametrize("name", ["problem1", "problem2"])
+    def test_pair_counters_pinned(self, name, request):
+        # the bundled problems share one pair trace; a change here is a
+        # change of pair strategy and must be deliberate
+        diag = solve_posture(request.getfixturevalue(name)).diagnostics
+        counters = {k: v for k, v in diag.items() if k.startswith(("pairs_", "zero_"))}
+        assert counters == {
+            "pairs_considered": 68,
+            "pairs_reduced": 11,
+            "zero_reductions": 6,
+            "pairs_dropped_coprime": 54,
+            "pairs_dropped_mf": 2,
+            "pairs_dropped_bk": 1,
+        }
+
     def test_inconsistent_system_reports_empty_variety(self, problem1, monkeypatch):
         import parapose.kinematics as kin
         from parapose.groebner import buchberger
@@ -288,3 +304,38 @@ class TestSolvePosture:
         monkeypatch.setattr(kin, "buchberger", lambda gens, **kw: no_univariate)
         with pytest.raises(ShapePositionError, match="univariate eliminant"):
             solve_posture(problem1)
+
+
+def generic_problem(rng):
+    """Pythagorean cis_beta, rational lengths, anchors and strokes (eighths)."""
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo * 8, hi * 8), 8)
+
+    m, n = rng.choice(((2, 1), (3, 2), (4, 1), (4, 3)))
+    c = m * m + n * n
+    cis_beta = gq(Fraction(rng.choice((1, -1)) * (m * m - n * n), c),
+                  Fraction(rng.choice((1, -1)) * 2 * m * n, c))
+    while True:
+        d_ab, d_ac = gq(q(-8, 8), q(-8, 8)), gq(q(-8, 8), q(-8, 8))
+        if not d_ab.is_zero and not d_ac.is_zero and d_ab != d_ac:
+            break
+    return ManipulatorProblem(
+        l_ab=q(1, 6), l_ac=q(1, 6), d_ab=d_ab, d_ac=d_ac, cis_beta=cis_beta,
+        s_a=q(1, 10), s_b=q(1, 10), s_c=q(1, 10),
+    )
+
+
+class TestEliminantConstantTerm:
+    """AL*CCAL - 1 is in the ideal, so the eliminant in CCAL has a nonzero
+    constant term and the exact predicates on it never reject it."""
+
+    def test_bundled_problems(self, problem1, problem2):
+        for problem in (problem1, problem2):
+            assert not solve_posture(problem).eliminant.coefficients[0].is_zero
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_generic_problems(self, seed):
+        rep = solve_posture(generic_problem(random.Random(seed)))
+        assert rep.eliminant.degree == 6
+        assert not rep.eliminant.coefficients[0].is_zero
