@@ -79,6 +79,8 @@ def parse_problem(path) -> ManipulatorProblem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ProblemFileError(f"{path}: expected a JSON object")
 
     geometry = _section(doc, "geometry")
     strokes = _section(doc, "strokes")

@@ -9,6 +9,13 @@ Text forms: rationals print as ``p/q`` or ``p``; Gaussian rationals as
 ``p/q``, ``r/s*I`` or ``p/q+r/s*I`` and, for interchange, as JSON
 objects ``{"re": "p/q", "im": "r/s"}``.  Parsing and printing round-trip
 losslessly.
+
+The class is a frozen, slotted dataclass.  Its constructor coerces and
+validates both components; the field operators skip that and build their
+results with the private ``_make(re, im)``, which takes two ``Fraction``
+values as they are and does not coerce or check them.  Products with a
+real (or zero) operand use two ``Fraction`` multiplications instead of
+four multiplications and two additions.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"exact component required, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """An exact complex number re + im*i with rational components."""
 
@@ -63,8 +70,8 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _fraction(self.re))
-        object.__setattr__(self, "im", _fraction(self.im))
+        _set_re(self, _fraction(self.re))
+        _set_im(self, _fraction(self.im))
 
     # -- field operations -------------------------------------------------
 
@@ -77,18 +84,18 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -97,30 +104,33 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        # (a + bi)(c + di): a real or zero operand needs only two products
+        if not d:
+            return _make(a * c, b * c)
+        if not b:
+            return _make(a * c, a * d)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
         n = o.norm_sq()
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        return GaussianRational(
+        return _make(
             (self.re * o.re + self.im * o.im) / n,
             (self.im * o.re - self.re * o.im) / n,
         )
@@ -132,12 +142,12 @@ class GaussianRational:
         return o / self
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.re or self.im)
 
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 as an exact rational."""
@@ -145,7 +155,7 @@ class GaussianRational:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     @property
     def is_real(self) -> bool:
@@ -182,6 +192,20 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+# slot descriptors: they store a field without the frozen __setattr__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """Build re + im*i from two Fractions, without coercion or checks."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def _signed_magnitude(sign: str, mag) -> Fraction:

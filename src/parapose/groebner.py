@@ -90,9 +90,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def elimination(self, level: int) -> "EliminationView":
-        return elimination_basis(self, level)
-
 
 @dataclass(frozen=True)
 class EliminationView:

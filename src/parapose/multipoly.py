@@ -10,6 +10,19 @@ Polynomials are immutable, stored as term lists strictly descending in
 lex order with no zero coefficients, and print/parse through a small
 canonical text grammar (e.g. ``CCAL^4 - 213/50*CCAL^3 + 1`` or
 ``(-14080/2017+2880/2017*I)*CCAL^3 + CCC``).
+
+The public constructors validate and normalise their input.  Results of
+ring operations and of the division loop are wrapped by the private
+``MultiPoly._trusted(terms)`` instead, which takes a tuple of
+``(monomial, coefficient)`` pairs that is already strictly descending
+and free of zero coefficients, and checks nothing.
+
+``normal_form`` and ``multi_divide`` share one reduction loop.  It
+subtracts each multiple of a divisor in place, and it divides by a
+divisor's leading coefficient only when that is not 1: Groebner basis
+elements are monic, so reducing modulo a basis never divides.
+``s_polynomial`` likewise skips the inverse and the scaling for a monic
+argument.
 """
 
 from __future__ import annotations
@@ -30,7 +43,6 @@ __all__ = [
     "mono_divides",
     "mono_div",
     "mono_lcm",
-    "mono_degree",
     "multi_divide",
     "normal_form",
     "s_polynomial",
@@ -47,6 +59,8 @@ MONO_ONE = (0,) * N_VARS
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
+
+_new = object.__new__
 
 
 # -- monomial helpers (monomials are plain 8-tuples of ints) ---------------
@@ -79,10 +93,6 @@ def mono_lcm(m1, m2):
     return tuple(max(a, b) for a, b in zip(m1, m2))
 
 
-def mono_degree(m) -> int:
-    return sum(m)
-
-
 def _check_mono(m):
     if len(m) != N_VARS or any(not isinstance(e, int) or e < 0 for e in m):
         raise ValueError(f"bad monomial {m!r}")
@@ -106,12 +116,18 @@ class MultiPoly:
                 acc.pop(mono, None)
             else:
                 acc[mono] = c
-        object.__setattr__(
-            self, "_terms", tuple(sorted(acc.items(), reverse=True))
-        )
+        _set_terms(self, tuple(sorted(acc.items(), reverse=True)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, terms: tuple) -> "MultiPoly":
+        """Wrap a term tuple that is already strictly descending and
+        zero-free, without checking or copying it."""
+        p = _new(cls)
+        _set_terms(p, terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -159,7 +175,7 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(mono_degree(m) for m, _ in self._terms)
+        return max(sum(m) for m, _ in self._terms)
 
     def support(self) -> frozenset:
         """Indices of the variables that actually occur."""
@@ -182,12 +198,16 @@ class MultiPoly:
     def _combine(self, other, negate: bool) -> "MultiPoly":
         acc = dict(self._terms)
         for mono, coeff in other._terms:
-            c = acc.get(mono, _ZERO) + (-coeff if negate else coeff)
-            if c.is_zero:
-                acc.pop(mono, None)
-            else:
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = -coeff if negate else coeff
+                continue
+            c = old - coeff if negate else old + coeff
+            if c:
                 acc[mono] = c
-        return MultiPoly(acc)
+            else:
+                del acc[mono]
+        return _sorted_poly(acc.items())
 
     @staticmethod
     def _as_scalar(value):
@@ -219,26 +239,19 @@ class MultiPoly:
         return -(self - other)
 
     def __neg__(self):
-        return MultiPoly(tuple((m, -c) for m, c in self._terms))
+        return MultiPoly._trusted(tuple((m, -c) for m, c in self._terms))
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             acc: dict = {}
             for m1, c1 in self._terms:
                 for m2, c2 in other._terms:
-                    mono = mono_mul(m1, m2)
-                    c = acc.get(mono, _ZERO) + c1 * c2
-                    if c.is_zero:
-                        acc.pop(mono, None)
-                    else:
-                        acc[mono] = c
-            return MultiPoly(acc)
+                    _add_inplace(acc, mono_mul(m1, m2), c1 * c2)
+            return _sorted_poly(acc.items())
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
-        if s.is_zero:
-            return MultiPoly()
-        return MultiPoly(tuple((m, c * s) for m, c in self._terms))
+        return self.term_shift(MONO_ONE, s)
 
     __rmul__ = __mul__
 
@@ -259,7 +272,12 @@ class MultiPoly:
         mono = tuple(mono)
         if coeff.is_zero:
             return MultiPoly()
-        return MultiPoly(tuple((mono_mul(m, mono), c * coeff) for m, c in self._terms))
+        terms = self._terms
+        if mono != MONO_ONE:
+            terms = tuple((mono_mul(m, mono), c) for m, c in terms)
+        if coeff != _ONE:
+            terms = tuple((m, c * coeff) for m, c in terms)
+        return MultiPoly._trusted(terms)
 
     def monic(self) -> "MultiPoly":
         if self.is_zero:
@@ -267,7 +285,7 @@ class MultiPoly:
         lc = self.leading_coefficient
         if lc == _ONE:
             return self
-        return MultiPoly(tuple((m, c / lc) for m, c in self._terms))
+        return MultiPoly._trusted(tuple((m, c / lc) for m, c in self._terms))
 
     def formal_conjugate(self) -> "MultiPoly":
         """Swap each variable with its barred partner, conjugating coefficients."""
@@ -275,7 +293,7 @@ class MultiPoly:
         for mono, coeff in self._terms:
             swapped = tuple(mono[BAR_PARTNER[i]] for i in range(N_VARS))
             out.append((swapped, coeff.conjugate()))
-        return MultiPoly(out)
+        return _sorted_poly(out)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Numeric evaluation at an 8-vector of complex values."""
@@ -321,6 +339,10 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()})"
 
 
+# the slot descriptor stores terms past the immutable __setattr__
+_set_terms = MultiPoly._terms.__set__
+
+
 def _mono_text(mono) -> str:
     parts = []
     for i, e in enumerate(mono):
@@ -355,11 +377,53 @@ def _term_text(mono, coeff: GaussianRational):
 # -- division algorithm and S-polynomials -----------------------------------
 
 def _add_inplace(acc: dict, mono, coeff: GaussianRational):
-    c = acc.get(mono, _ZERO) + coeff
-    if c.is_zero:
-        acc.pop(mono, None)
-    else:
+    old = acc.get(mono)
+    if old is None:
+        acc[mono] = coeff
+        return
+    c = old + coeff
+    if c:
         acc[mono] = c
+    else:
+        del acc[mono]
+
+
+def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> MultiPoly:
+    """Remainder of f modulo an ordered list of divisors.
+
+    When quotients is a list of one dict per divisor, the quotient terms
+    are recorded there, keyed by monomial in descending order.  The term
+    being reduced is always the largest left, so it only moves down: the
+    remainder and each quotient come out strictly descending.
+    """
+    heads = []
+    for d in divisors:
+        if d.is_zero:
+            raise ZeroDivisionError("zero polynomial among divisors")
+        lm, lc = d.terms[0]
+        # basis elements are monic: no division for them
+        heads.append((lm, None if lc == _ONE else lc, d.terms))
+
+    work = dict(f.terms)
+    remainder = []
+    while work:
+        mono = max(work)
+        coeff = work[mono]
+        for i, (lm, lc, terms) in enumerate(heads):
+            if mono_divides(lm, mono):
+                qm = mono_div(mono, lm)
+                qc = coeff if lc is None else coeff / lc
+                if quotients is not None:
+                    quotients[i][qm] = qc
+                # work -= qc * x^qm * divisor, one negation per step
+                nqc = -qc
+                for dm, dc in terms:
+                    _add_inplace(work, mono_mul(qm, dm), nqc * dc)
+                break
+        else:
+            remainder.append((mono, coeff))
+            del work[mono]
+    return MultiPoly._trusted(tuple(remainder))
 
 
 def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
@@ -371,56 +435,14 @@ def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
     """
     if not divisors:
         raise ValueError("empty divisor list")
-    lts = []
-    for d in divisors:
-        if d.is_zero:
-            raise ZeroDivisionError("zero polynomial among divisors")
-        lts.append(d.leading_term)
-
-    work = dict(f.terms)
-    quotients = [dict() for _ in divisors]
-    remainder: dict = {}
-    while work:
-        mono = max(work)
-        coeff = work[mono]
-        for i, (lm, lc) in enumerate(lts):
-            if mono_divides(lm, mono):
-                qm = mono_div(mono, lm)
-                qc = coeff / lc
-                _add_inplace(quotients[i], qm, qc)
-                for dm, dc in divisors[i].terms:
-                    _add_inplace(work, mono_mul(qm, dm), -(qc * dc))
-                break
-        else:
-            remainder[mono] = coeff
-            del work[mono]
-    return [MultiPoly(q) for q in quotients], MultiPoly(remainder)
+    quotients = [{} for _ in divisors]
+    remainder = _reduce(f, divisors, quotients)
+    return [MultiPoly._trusted(tuple(q.items())) for q in quotients], remainder
 
 
 def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
     """Remainder of multi_divide without quotient bookkeeping."""
-    lts = []
-    for d in divisors:
-        if d.is_zero:
-            raise ZeroDivisionError("zero polynomial among divisors")
-        lts.append(d.leading_term)
-
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        mono = max(work)
-        coeff = work[mono]
-        for i, (lm, lc) in enumerate(lts):
-            if mono_divides(lm, mono):
-                qm = mono_div(mono, lm)
-                qc = coeff / lc
-                for dm, dc in divisors[i].terms:
-                    _add_inplace(work, mono_mul(qm, dm), -(qc * dc))
-                break
-        else:
-            remainder[mono] = coeff
-            del work[mono]
-    return MultiPoly(remainder)
+    return _reduce(f, divisors)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -428,9 +450,19 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     fm, fc = f.leading_term
     gm, gc = g.leading_term
     lcm = mono_lcm(fm, gm)
-    return f.term_shift(mono_div(lcm, fm), _ONE / fc) - g.term_shift(
-        mono_div(lcm, gm), _ONE / gc
+    return f.term_shift(mono_div(lcm, fm), _inverse(fc)) - g.term_shift(
+        mono_div(lcm, gm), _inverse(gc)
     )
+
+
+def _inverse(c: GaussianRational) -> GaussianRational:
+    return c if c == _ONE else _ONE / c
+
+
+def _sorted_poly(items) -> MultiPoly:
+    """MultiPoly from zero-free (monomial, coefficient) pairs with
+    distinct monomials, in any order."""
+    return MultiPoly._trusted(tuple(sorted(items, reverse=True)))
 
 
 # -- canonical text parser ----------------------------------------------------

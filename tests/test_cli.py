@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -15,11 +18,12 @@ from parapose.gaussrat import GaussianRational
 from parapose.kinematics import solve_posture
 from parapose.svgdraw import VertexMismatchError, render_posture
 
-from conftest import PROBLEMS_DIR
+from conftest import PROBLEMS_DIR, REPO_ROOT
 from golden import BASIS_EXAMPLE1
 
 EXAMPLE1 = PROBLEMS_DIR / "example1.json"
 EXAMPLE2 = PROBLEMS_DIR / "example2.json"
+SRC_DIR = REPO_ROOT / "src"
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -93,6 +97,12 @@ class TestParseProblem:
         with pytest.raises(ProblemFileError):
             parse_problem(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("text", ["5", "null", '["geometry"]'])
+    def test_top_level_not_an_object(self, tmp_path, text):
+        path = write_problem(tmp_path, text)
+        with pytest.raises(ProblemFileError, match="expected a JSON object"):
+            parse_problem(path)
+
 
 class TestSolveCommand:
     def test_example_one_end_to_end(self, tmp_path):
@@ -157,6 +167,24 @@ class TestSolveCommand:
 
     def test_unreadable_input_is_solver_error(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("text", ["5", "null", '["geometry"]'])
+    def test_non_object_problem_is_solver_error(self, tmp_path, text):
+        path = write_problem(tmp_path, text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "parapose", "solve", "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "expected a JSON object" in lines[0]
 
     def test_invalid_problem_is_solver_error(self, tmp_path):
         path = write_problem(tmp_path, example_body(**{"strokes.s_b": "bogus"}))

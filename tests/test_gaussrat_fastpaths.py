@@ -1,0 +1,111 @@
+"""GaussianRational operator shortcuts against the textbook formulas.
+
+Standard library only, so that it also runs under ``python -m unittest``
+on interpreters without the test extras installed.
+"""
+
+import copy
+import pickle
+import unittest
+from fractions import Fraction
+from itertools import product
+
+from parapose.gaussrat import GaussianRational
+
+# components cover zero, one, integers and proper fractions of both signs,
+# so operands range over zero, real, imaginary and general values
+COMPONENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-5, 2))
+VALUES = [GaussianRational(a, b) for a, b in product(COMPONENTS, repeat=2)]
+
+
+def generic_mul(a, b, c, d):
+    return a * c - b * d, a * d + b * c
+
+
+def generic_div(a, b, c, d):
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+class TestOperatorShortcuts(unittest.TestCase):
+    def assert_components(self, z, expected):
+        self.assertIs(type(z), GaussianRational)
+        self.assertIs(type(z.re), Fraction)
+        self.assertIs(type(z.im), Fraction)
+        self.assertEqual((z.re, z.im), expected)
+
+    def test_product(self):
+        for x, y in product(VALUES, repeat=2):
+            with self.subTest(x=x, y=y):
+                self.assert_components(x * y, generic_mul(x.re, x.im, y.re, y.im))
+
+    def test_sum_and_difference(self):
+        for x, y in product(VALUES, repeat=2):
+            with self.subTest(x=x, y=y):
+                self.assert_components(x + y, (x.re + y.re, x.im + y.im))
+                self.assert_components(x - y, (x.re - y.re, x.im - y.im))
+
+    def test_quotient(self):
+        for x, y in product(VALUES, repeat=2):
+            with self.subTest(x=x, y=y):
+                if y.is_zero:
+                    with self.assertRaises(ZeroDivisionError):
+                        x / y
+                else:
+                    self.assert_components(x / y, generic_div(x.re, x.im, y.re, y.im))
+
+    def test_mixed_operands(self):
+        z = GaussianRational(Fraction(1, 2), -3)
+        self.assert_components(z * 2, (Fraction(1), Fraction(-6)))
+        self.assert_components(Fraction(1, 3) * z, (Fraction(1, 6), Fraction(-1)))
+        self.assert_components(1 - z, (Fraction(1, 2), Fraction(3)))
+        self.assert_components(1 / GaussianRational(0, 2), (Fraction(0), Fraction(-1, 2)))
+
+    def test_results_compare_and_hash_like_constructed_values(self):
+        for x, y in product(VALUES, repeat=2):
+            built = GaussianRational(*generic_mul(x.re, x.im, y.re, y.im))
+            self.assertEqual(x * y, built)
+            self.assertEqual(hash(x * y), hash(built))
+            self.assertEqual(bool(x * y), not built.is_zero)
+
+
+class TestSlottedValue(unittest.TestCase):
+    z = GaussianRational(Fraction(-14080, 2017), Fraction(2880, 2017))
+
+    def test_frozen(self):
+        with self.assertRaises(AttributeError):
+            self.z.re = Fraction(1)
+        with self.assertRaises(AttributeError):
+            del self.z.im
+        # a new name is refused too; CPython's frozen __setattr__ for slotted
+        # dataclasses reports that as TypeError instead of AttributeError
+        with self.assertRaises((AttributeError, TypeError)):
+            self.z.extra = 1
+        self.assertFalse(hasattr(self.z, "__dict__"))
+
+    def test_hashable(self):
+        same = GaussianRational("-14080/2017", "2880/2017")
+        self.assertEqual(hash(self.z), hash(same))
+        self.assertEqual(len({self.z, same, self.z * 1}), 1)
+
+    def test_pickle_and_copy(self):
+        for z in (self.z, self.z * self.z, GaussianRational()):
+            for clone in (
+                pickle.loads(pickle.dumps(z)),
+                copy.copy(z),
+                copy.deepcopy(z),
+                copy.deepcopy([z, {"k": z}])[1]["k"],
+            ):
+                self.assertEqual(clone, z)
+                self.assertIs(type(clone.re), Fraction)
+
+    def test_constructor_still_validates(self):
+        with self.assertRaises(TypeError):
+            GaussianRational(0.5)
+        with self.assertRaises(ValueError):
+            GaussianRational("1.5")
+        self.assertEqual(GaussianRational(2, "1/2"), GaussianRational(Fraction(2), Fraction(1, 2)))
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -205,3 +205,75 @@ class TestTextForm:
     def test_parse_errors(self, text):
         with pytest.raises(PolyParseError):
             parse_poly(text)
+
+
+# polynomials on three variables, so that divisions actually reduce
+dense_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
+    lambda e: e + (0,) * 5
+)
+special_coeffs = st.sampled_from(
+    [GaussianRational(1), GaussianRational(-3), GaussianRational(0, 2),
+     GaussianRational(Fraction(1, 2), -1)]
+)
+dense_polys = st.dictionaries(
+    dense_monomials, st.one_of(coeffs, special_coeffs), max_size=5
+).map(MultiPoly)
+dense_nonzero = dense_polys.filter(lambda p: not p.is_zero)
+
+
+def assert_canonical(p):
+    """p equals its validated rebuild; terms strictly descending, zero-free."""
+    assert isinstance(p, MultiPoly)
+    assert p == MultiPoly(p.terms)
+    ms = [m for m, _ in p.terms]
+    assert all(a > b for a, b in zip(ms, ms[1:]))
+    assert all(not c.is_zero for _, c in p.terms)
+
+
+class TestTermInvariant:
+    """Results built without validation still satisfy the term invariant."""
+
+    @given(dense_polys, dense_polys, dense_monomials, coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, p, q, m, c):
+        for r in (p + q, p - q, p * q, -p, p * c, p + c, p - c,
+                  p.term_shift(m, c), p.formal_conjugate()):
+            assert_canonical(r)
+        if not p.is_zero:
+            assert_canonical(p.monic())
+
+    @given(dense_polys, st.lists(dense_nonzero, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_division(self, f, divisors):
+        quotients, remainder = multi_divide(f, divisors)
+        for r in quotients + [remainder, normal_form(f, divisors)]:
+            assert_canonical(r)
+        assert normal_form(f, divisors) == remainder
+
+    @given(dense_nonzero, dense_nonzero)
+    @settings(max_examples=50, deadline=None)
+    def test_s_polynomial(self, f, g):
+        assert_canonical(s_polynomial(f, g))
+
+
+class TestMonicDivisors:
+    """The monic shortcut and the general division path agree."""
+
+    @given(dense_polys, st.lists(st.tuples(dense_nonzero, coeffs), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_divisors(self, f, scaled):
+        monic = [g.monic() for g, _ in scaled]
+        rescaled = [g.monic() * c for g, c in scaled]
+        assert normal_form(f, rescaled) == normal_form(f, monic)
+        q_monic, r_monic = multi_divide(f, monic)
+        q_rescaled, r_rescaled = multi_divide(f, rescaled)
+        assert r_rescaled == r_monic
+        for qs, qm, (_, c) in zip(q_rescaled, q_monic, scaled):
+            assert qs * c == qm
+
+    def test_scaled_golden_basis(self, ideal1, golden_basis1):
+        scaled = [g * GaussianRational(Fraction(-3, 7), 2) for g in golden_basis1]
+        for f in ideal1:
+            assert normal_form(f, scaled).is_zero
+        probe = CA * CCB + CC * CCAL ** 3 + I_UNIT * AL
+        assert normal_form(probe, scaled) == normal_form(probe, golden_basis1)
