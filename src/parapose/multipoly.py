@@ -198,15 +198,7 @@ class MultiPoly:
     def _combine(self, other, negate: bool) -> "MultiPoly":
         acc = dict(self._terms)
         for mono, coeff in other._terms:
-            old = acc.get(mono)
-            if old is None:
-                acc[mono] = -coeff if negate else coeff
-                continue
-            c = old - coeff if negate else old + coeff
-            if c:
-                acc[mono] = c
-            else:
-                del acc[mono]
+            _add_inplace(acc, mono, -coeff if negate else coeff)
         return _sorted_poly(acc.items())
 
     @staticmethod
@@ -269,14 +261,17 @@ class MultiPoly:
 
     def term_shift(self, mono, coeff: GaussianRational) -> "MultiPoly":
         """Multiply by the single term coeff * x^mono."""
-        mono = tuple(mono)
+        mono = _check_mono(mono)
         if coeff.is_zero:
             return MultiPoly()
         terms = self._terms
-        if mono != MONO_ONE:
-            terms = tuple((mono_mul(m, mono), c) for m, c in terms)
         if coeff != _ONE:
-            terms = tuple((m, c * coeff) for m, c in terms)
+            if mono != MONO_ONE:
+                terms = tuple((mono_mul(m, mono), c * coeff) for m, c in terms)
+            else:
+                terms = tuple((m, c * coeff) for m, c in terms)
+        elif mono != MONO_ONE:
+            terms = tuple((mono_mul(m, mono), c) for m, c in terms)
         return MultiPoly._trusted(terms)
 
     def monic(self) -> "MultiPoly":

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -18,12 +15,11 @@ from parapose.gaussrat import GaussianRational
 from parapose.kinematics import solve_posture
 from parapose.svgdraw import VertexMismatchError, render_posture
 
-from conftest import PROBLEMS_DIR, REPO_ROOT
+from conftest import PROBLEMS_DIR
 from golden import BASIS_EXAMPLE1
 
 EXAMPLE1 = PROBLEMS_DIR / "example1.json"
 EXAMPLE2 = PROBLEMS_DIR / "example2.json"
-SRC_DIR = REPO_ROOT / "src"
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -169,19 +165,12 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize("text", ["5", "null", '["geometry"]'])
-    def test_non_object_problem_is_solver_error(self, tmp_path, text):
+    def test_non_object_problem_is_solver_error(self, tmp_path, capsys, text):
         path = write_problem(tmp_path, text)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "parapose", "solve", "--input", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 2
-        assert done.stdout == ""
-        lines = done.stderr.splitlines()
+        assert main(["solve", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "expected a JSON object" in lines[0]

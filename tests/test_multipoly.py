@@ -242,6 +242,13 @@ class TestTermInvariant:
         if not p.is_zero:
             assert_canonical(p.monic())
 
+    @pytest.mark.parametrize("bad", [(1,) * 7, (1,) * 9, (0, 0, -1, 0, 0, 0, 0, 0)])
+    @pytest.mark.parametrize("coeff", [GaussianRational(1), GaussianRational(2, 3)])
+    def test_term_shift_rejects_bad_monomial(self, bad, coeff):
+        p = CA * CB + 3
+        with pytest.raises(ValueError, match="bad monomial"):
+            p.term_shift(bad, coeff)
+
     @given(dense_polys, st.lists(dense_nonzero, min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_division(self, f, divisors):
