@@ -18,9 +18,13 @@ ring operations and of the division loop are wrapped by the private
 and free of zero coefficients, and checks nothing.
 
 ``normal_form`` and ``multi_divide`` share one reduction loop.  It
-subtracts each multiple of a divisor in place, and it divides by a
-divisor's leading coefficient only when that is not 1: Groebner basis
-elements are monic, so reducing modulo a basis never divides.
+splits each divisor into leading monomial, leading coefficient and tail
+once per call.  At each step it removes the term being reduced and
+subtracts the quotient term times the divisor's tail only: the leading
+product would cancel that term exactly, so it is never formed.  It
+divides by a divisor's leading coefficient only when that is not 1:
+Groebner basis elements are monic, so reducing modulo a basis never
+divides.
 ``s_polynomial`` likewise skips the inverse and the scaling for a monic
 argument.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .gaussrat import GaussianRational
@@ -73,24 +78,24 @@ def lex_compare(m1, m2) -> int:
 
 
 def mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_divides(m1, m2) -> bool:
     """True iff m1 divides m2."""
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def mono_div(m1, m2):
     """m1 / m2; requires divisibility."""
-    q = tuple(a - b for a, b in zip(m1, m2))
+    q = tuple(map(sub, m1, m2))
     if any(e < 0 for e in q):
         raise ValueError(f"{m2} does not divide {m1}")
     return q
 
 
 def mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _check_mono(m):
@@ -395,29 +400,31 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
     for d in divisors:
         if d.is_zero:
             raise ZeroDivisionError("zero polynomial among divisors")
-        lm, lc = d.terms[0]
+        terms = d.terms
+        lm, lc = terms[0]
         # basis elements are monic: no division for them
-        heads.append((lm, None if lc == _ONE else lc, d.terms))
+        heads.append((lm, None if lc == _ONE else lc, terms[1:]))
 
     work = dict(f.terms)
     remainder = []
     while work:
         mono = max(work)
-        coeff = work[mono]
-        for i, (lm, lc, terms) in enumerate(heads):
+        coeff = work.pop(mono)
+        for i, (lm, lc, tail) in enumerate(heads):
             if mono_divides(lm, mono):
-                qm = mono_div(mono, lm)
+                qm = tuple(map(sub, mono, lm))
                 qc = coeff if lc is None else coeff / lc
                 if quotients is not None:
                     quotients[i][qm] = qc
-                # work -= qc * x^qm * divisor, one negation per step
+                # qc * lc == coeff exactly, so the leading product would
+                # cancel the popped term: work -= qc * x^qm * tail, one
+                # negation per step
                 nqc = -qc
-                for dm, dc in terms:
-                    _add_inplace(work, mono_mul(qm, dm), nqc * dc)
+                for dm, dc in tail:
+                    _add_inplace(work, tuple(map(add, qm, dm)), nqc * dc)
                 break
         else:
             remainder.append((mono, coeff))
-            del work[mono]
     return MultiPoly._trusted(tuple(remainder))
 
 

@@ -219,8 +219,12 @@ def find_roots(
     The residual acceptance test normalises per root by the evaluation
     scale sum |c_i| |z|^i (relative backward error); failing it, or
     running out of iterations while residuals are still large, raises
-    ConvergenceError with the best iterates found.
+    ConvergenceError with the best iterates found.  tol must be positive
+    and finite: with NaN or infinity the residual test could never fail,
+    and at zero or below it could never pass.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
     numeric = f.to_floats()
     coeffs = numeric.coefficients
     if len(coeffs) < 2:

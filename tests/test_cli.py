@@ -206,6 +206,16 @@ class TestSolveCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_root_tolerance_must_be_positive_and_finite(self, capsys, value):
+        assert main(["solve", "--input", str(EXAMPLE1), "--tol-root", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "positive and finite" in lines[0]
+
 
 @pytest.fixture()
 def svg_files(tmp_path):

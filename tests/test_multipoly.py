@@ -11,7 +11,10 @@ from parapose.multipoly import (
     PolyParseError,
     VAR_NAMES,
     lex_compare,
+    mono_div,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     multi_divide,
     normal_form,
     parse_poly,
@@ -67,6 +70,45 @@ class TestLexOrder:
             tuple(a + b for a, b in zip(m2, m)),
         )
         assert c == shifted
+
+
+def _is_monomial(m):
+    return type(m) is tuple and len(m) == 8 and all(type(e) is int for e in m)
+
+
+# (m1, m2) pairs: unrelated, or m2 a multiple of m1 so that division succeeds
+monomial_pairs = st.one_of(
+    st.tuples(monomials, monomials),
+    st.tuples(monomials, monomials).map(
+        lambda t: (t[0], tuple(a + b for a, b in zip(*t)))
+    ),
+)
+
+
+class TestMonomialHelpers:
+    """The helpers against generator-expression reference definitions:
+    mono_divides is the reducedness oracle of other tests, so it is not
+    checked only by itself."""
+
+    @given(monomial_pairs)
+    @settings(max_examples=300)
+    def test_against_reference(self, pair):
+        m1, m2 = pair
+        divides = all(a <= b for a, b in zip(m1, m2))
+        assert mono_divides(m1, m2) is divides
+        product = mono_mul(m1, m2)
+        assert _is_monomial(product)
+        assert product == tuple(a + b for a, b in zip(m1, m2))
+        lcm = mono_lcm(m1, m2)
+        assert _is_monomial(lcm)
+        assert lcm == tuple(max(a, b) for a, b in zip(m1, m2))
+        if divides:
+            quotient = mono_div(m2, m1)
+            assert _is_monomial(quotient)
+            assert quotient == tuple(b - a for a, b in zip(m1, m2))
+        else:
+            with pytest.raises(ValueError):
+                mono_div(m2, m1)
 
 
 class TestLeadingTerm:

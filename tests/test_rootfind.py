@@ -94,6 +94,12 @@ class TestFindRoots:
             assert rs.poly_degree == n
             assert len(rs.roots) == n == len(rs.residuals) == len(rs.multiplicities)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # max_iter=0 would end in ConvergenceError: the check comes first
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_roots(G8, tol=tol, max_iter=0)
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(UniPoly([gq(5)]))
