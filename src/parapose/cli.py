@@ -23,9 +23,9 @@ Exit codes: 0 success, 1 usage error, 2 solver or input error.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
+import time
 from pathlib import Path
 
 from .gaussrat import GaussianRational, parse_rational
@@ -135,6 +135,16 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _utc_isoformat(ns: int) -> str:
+    """UTC instant (ns since the epoch) in ``datetime.isoformat()`` form."""
+    secs, ns = divmod(ns, 1_000_000_000)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(secs))
+    micros = ns // 1000
+    if micros:
+        text += f".{micros:06d}"
+    return text + "+00:00"
+
+
 def report_to_json(report: SolutionReport, *, emit_basis: bool = False) -> dict:
     doc = {
         "problem": problem_to_json(report.problem),
@@ -167,7 +177,7 @@ def report_to_json(report: SolutionReport, *, emit_basis: bool = False) -> dict:
     if emit_basis:
         doc["groebner_basis"] = [g.to_text() for g in report.basis.elements]
     doc["timestamp"] = {
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "generated_at": _utc_isoformat(time.time_ns()),
         "elapsed_ms": {k: round(v, 3) for k, v in report.timings_ms.items()},
     }
     return doc

@@ -10,18 +10,18 @@ Text forms: rationals print as ``p/q`` or ``p``; Gaussian rationals as
 objects ``{"re": "p/q", "im": "r/s"}``.  Parsing and printing round-trip
 losslessly.
 
-The class is a frozen, slotted dataclass.  Its constructor coerces and
-validates both components; the field operators skip that and build their
-results with the private ``_make(re, im)``, which takes two ``Fraction``
-values as they are and does not coerce or check them.  Products with a
-real (or zero) operand use two ``Fraction`` multiplications instead of
-four multiplications and two additions.
+The class is a hand-written immutable class with ``__slots__ = ("re",
+"im")``.  Its constructor coerces and validates both components; the
+field operators skip that and build their results with the private
+``_make(re, im)``, which takes two ``Fraction`` values as they are and
+does not coerce or check them.  Products with a real (or zero) operand
+use two ``Fraction`` multiplications instead of four multiplications and
+two additions.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -62,16 +62,34 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"exact component required, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
+_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """An exact complex number re + im*i with rational components."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        _set_re(self, _fraction(self.re))
-        _set_im(self, _fraction(self.im))
+    def __init__(self, re=_ZERO, im=_ZERO):
+        _set_re(self, _fraction(re))
+        _set_im(self, _fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
 
     # -- field operations -------------------------------------------------
 

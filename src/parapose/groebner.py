@@ -15,9 +15,9 @@ generator scaling and selection details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .multipoly import (
     MultiPoly,
     N_VARS,
@@ -59,30 +59,36 @@ class PairLimitExceeded(RuntimeError):
         self.stats = stats
 
 
-@dataclass
-class BuchbergerStats:
+class BuchbergerStats(Record):
     """Deterministic pair counters of one Buchberger run.
 
     Every pair formed is considered once: it is reduced, dropped by a
     criterion, or (only when the pair budget runs out) still pending.
     """
 
-    pairs_considered: int = 0
-    pairs_reduced: int = 0
-    zero_reductions: int = 0
-    elements_added: int = 0
-    pairs_dropped_coprime: int = 0
-    pairs_dropped_mf: int = 0
-    pairs_dropped_bk: int = 0
+    __slots__ = (
+        "pairs_considered",
+        "pairs_reduced",
+        "zero_reductions",
+        "elements_added",
+        "pairs_dropped_coprime",
+        "pairs_dropped_mf",
+        "pairs_dropped_bk",
+    )
+    _defaults = dict.fromkeys(__slots__, 0)
+    _frozen = False
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced monic lex basis, elements sorted by descending leading monomial."""
+class GroebnerBasis(Record):
+    """Reduced monic lex basis, elements sorted by descending leading monomial.
 
-    elements: tuple
-    order_tag: str = LEX_ORDER_TAG
-    stats: BuchbergerStats | None = field(default=None, compare=False, repr=False)
+    ``stats`` (a BuchbergerStats or None) takes no part in equality,
+    hashing or the repr.
+    """
+
+    __slots__ = ("elements", "order_tag", "stats")
+    _defaults = {"order_tag": LEX_ORDER_TAG, "stats": None}
+    _hidden = ("stats",)
 
     def __iter__(self):
         return iter(self.elements)
@@ -91,12 +97,10 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class EliminationView:
+class EliminationView(Record):
     """The subset G_l of a basis using only the last N_VARS - l variables."""
 
-    level: int
-    elements: tuple
+    __slots__ = ("level", "elements")
 
     def __iter__(self):
         return iter(self.elements)

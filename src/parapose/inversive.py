@@ -11,10 +11,10 @@ real pairs against the unit-circle diameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._record import Record
 from .gaussrat import GaussianRational, parse_gaussian
 
 __all__ = [
@@ -33,12 +33,11 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InversionCircle:
-    center: complex = 0j
-    radius: float = 1.0
+class InversionCircle(Record):
+    __slots__ = ("center", "radius")
+    _defaults = {"center": 0j, "radius": 1.0}
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0 and math.isfinite(self.radius)):
@@ -130,6 +129,10 @@ class UniPoly:
 
     def __hash__(self):
         return hash((self._exact, self._coefficients))
+
+    def __reduce__(self):
+        # a numeric zero coefficient keeps the numeric zero polynomial numeric
+        return (UniPoly, (self._coefficients or (() if self._exact else (0j,)),))
 
     def __repr__(self):
         mode = "exact" if self._exact else "numeric"

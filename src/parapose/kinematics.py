@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .gaussrat import GaussianRational
 from .groebner import BuchbergerStats, GroebnerBasis, buchberger, elimination_basis
 from .inversive import UniPoly, is_self_reciprocal
@@ -65,8 +65,7 @@ def _gaussian(value, name: str) -> GaussianRational:
     raise TypeError(f"{name}: exact Gaussian rational required")
 
 
-@dataclass(frozen=True)
-class ManipulatorProblem:
+class ManipulatorProblem(Record):
     """Geometry constants and connector strokes, all exact.
 
     The platform triangle has sides l_ab, l_ac meeting at vertex A with
@@ -75,16 +74,9 @@ class ManipulatorProblem:
     The strokes s_a, s_b, s_c are the active prismatic joint lengths.
     """
 
-    l_ab: Fraction
-    l_ac: Fraction
-    d_ab: GaussianRational
-    d_ac: GaussianRational
-    cis_beta: GaussianRational
-    s_a: Fraction
-    s_b: Fraction
-    s_c: Fraction
+    __slots__ = ("l_ab", "l_ac", "d_ab", "d_ac", "cis_beta", "s_a", "s_b", "s_c")
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("l_ab", "l_ac", "s_a", "s_b", "s_c"):
             object.__setattr__(self, name, _positive_rational(getattr(self, name), name))
         for name in ("d_ab", "d_ac", "cis_beta"):
@@ -99,25 +91,19 @@ class ManipulatorProblem:
             raise ValueError("d_ac: base anchors must be distinct")
 
 
-@dataclass(frozen=True)
-class SolutionTuple:
+class SolutionTuple(Record):
     """A variety point in the 8 chain-ordered coordinates."""
 
-    coords: tuple
-    physical: bool = False
-    residual_max: float = math.nan
+    __slots__ = ("coords", "physical", "residual_max")
+    _defaults = {"physical": False, "residual_max": math.nan}
 
 
-@dataclass(frozen=True)
-class PostureAngles:
+class PostureAngles(Record):
     """Connector and platform angles in degrees, each in (-180, 180]."""
 
-    theta_a: float
-    theta_b: float
-    theta_c: float
-    alpha: float
+    __slots__ = ("theta_a", "theta_b", "theta_c", "alpha")
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("theta_a", "theta_b", "theta_c", "alpha"):
             v = getattr(self, name)
             if not (math.isfinite(v) and -180.0 < v <= 180.0):
@@ -127,19 +113,23 @@ class PostureAngles:
         return (self.theta_a, self.theta_b, self.theta_c, self.alpha)
 
 
-@dataclass
-class SolutionReport:
+class SolutionReport(Record):
     """Everything the pipeline produced for one problem."""
 
-    problem: ManipulatorProblem
-    basis: GroebnerBasis
-    eliminant: UniPoly
-    eliminant_self_reciprocal: bool
-    solutions: tuple
-    postures: tuple
-    empty_variety: bool = False
-    diagnostics: dict = field(default_factory=dict)
-    timings_ms: dict = field(default_factory=dict)
+    __slots__ = (
+        "problem",
+        "basis",
+        "eliminant",
+        "eliminant_self_reciprocal",
+        "solutions",
+        "postures",
+        "empty_variety",
+        "diagnostics",
+        "timings_ms",
+    )
+    _defaults = {"empty_variety": False}
+    _factories = {"diagnostics": dict, "timings_ms": dict}
+    _frozen = False
 
 
 def build_ideal(problem: ManipulatorProblem) -> list:
@@ -220,11 +210,15 @@ def _is_physical(coords, tol: float) -> bool:
     return True
 
 
+def _require_tolerance(tol: float, what: str) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{what} tolerance must be positive and finite, got {tol!r}")
+
+
 def filter_physical(tuples: Iterable[SolutionTuple], tol: float = DEFAULT_PHYSICAL_TOL):
     """Mark tuples physical/discarded; nothing is dropped."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    return [replace(t, physical=_is_physical(t.coords, tol)) for t in tuples]
+    _require_tolerance(tol, "physical")
+    return [t.replace(physical=_is_physical(t.coords, tol)) for t in tuples]
 
 
 def to_angles(t: SolutionTuple) -> PostureAngles:
@@ -265,7 +259,13 @@ def solve_posture(
     max_iter: int = 200,
     pair_limit: int = 100_000,
 ) -> SolutionReport:
-    """Run the full pipeline: ideal, basis, eliminant, roots, postures."""
+    """Run the full pipeline: ideal, basis, eliminant, roots, postures.
+
+    Both tolerances must be positive and finite; they are checked before
+    any work is done.
+    """
+    _require_tolerance(tol_root, "root")
+    _require_tolerance(tol_physical, "physical")
     timings: dict = {}
     t0 = time.monotonic()
     ideal = build_ideal(problem)
@@ -322,7 +322,7 @@ def solve_posture(
 
     tuples = [back_substitute(basis, r) for r in roots.roots]
     tuples = filter_physical(tuples, tol_physical)
-    tuples = [replace(t, residual_max=residual_max(t, ideal)) for t in tuples]
+    tuples = [t.replace(residual_max=residual_max(t, ideal)) for t in tuples]
     postures = tuple(to_angles(t) for t in tuples if t.physical)
     timings["back_substitute"] = (time.monotonic() - t3) * 1e3
     timings["total"] = (time.monotonic() - t0) * 1e3

@@ -316,6 +316,9 @@ class MultiPoly:
     def __hash__(self):
         return hash(self._terms)
 
+    def __reduce__(self):
+        return (MultiPoly, (self._terms,))
+
     def __bool__(self):
         return bool(self._terms)
 

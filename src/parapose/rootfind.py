@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
+from ._record import Record
 from .gaussrat import GaussianRational
 from .inversive import UniPoly
 
@@ -37,15 +36,10 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """Roots with multiplicity, their residuals, and iteration metadata."""
 
-    roots: tuple
-    residuals: tuple
-    poly_degree: int
-    multiplicities: tuple
-    iterations: int
+    __slots__ = ("roots", "residuals", "poly_degree", "multiplicities", "iterations")
 
     @property
     def has_repeated_roots(self) -> bool:

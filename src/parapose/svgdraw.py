@@ -12,8 +12,6 @@ aborts the render.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from .kinematics import ManipulatorProblem, PostureAngles, SolutionTuple
 
 __all__ = ["VertexMismatchError", "render_posture"]
@@ -22,8 +20,8 @@ CANVAS = 560.0
 MARGIN_FRACTION = 0.10
 VERTEX_TOL = 1e-6  # drawing units
 
-_BASE_STYLE = {"fill": "#dbe4f0", "stroke": "#33415c", "stroke-width": "2"}
-_PLATFORM_STYLE = {"fill": "#f6d7a8", "stroke": "#7a3b06", "stroke-width": "2"}
+_BASE_STYLE = 'fill="#dbe4f0" stroke="#33415c" stroke-width="2"'
+_PLATFORM_STYLE = 'fill="#f6d7a8" stroke="#7a3b06" stroke-width="2"'
 
 
 class VertexMismatchError(ValueError):
@@ -32,6 +30,11 @@ class VertexMismatchError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def _escape_text(text: str) -> str:
+    """Escape character data; attribute values here are never free text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_posture(
@@ -84,55 +87,34 @@ def render_posture(
     p_b = (p_b_via_a + p_b_via_b) / 2.0
     p_c = (p_c_via_a + p_c_via_c) / 2.0
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": _fmt(CANVAS),
-            "height": _fmt(CANVAS),
-            "viewBox": f"0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}",
-        },
-    )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" '
+        f'viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">'
+    ]
 
     def polygon(points, style):
-        attrs = {"points": " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)}
-        attrs.update(style)
-        ET.SubElement(svg, "polygon", attrs)
+        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        parts.append(f'<polygon points="{coords}" {style} />')
 
     def line(a, b, color):
         (x1, y1), (x2, y2) = to_svg(a), to_svg(b)
-        ET.SubElement(
-            svg,
-            "line",
-            {
-                "x1": _fmt(x1),
-                "y1": _fmt(y1),
-                "x2": _fmt(x2),
-                "y2": _fmt(y2),
-                "stroke": color,
-                "stroke-width": "1.5",
-                "stroke-dasharray": "6 3",
-            },
+        parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6 3" />'
         )
 
     def dot(z, color):
         x, y = to_svg(z)
-        ET.SubElement(
-            svg,
-            "circle",
-            {"cx": _fmt(x), "cy": _fmt(y), "r": "4", "fill": color},
-        )
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}" />')
 
     def label(z, text, dx=6.0, dy=-6.0):
         x, y = to_svg(z)
-        el = ET.SubElement(
-            svg,
-            "text",
-            {"x": _fmt(x + dx), "y": _fmt(y + dy), "font-size": "13",
-             "font-family": "sans-serif", "fill": "#222"},
+        parts.append(
+            f'<text x="{_fmt(x + dx)}" y="{_fmt(y + dy)}" font-size="13" '
+            f'font-family="sans-serif" fill="#222">{text}</text>'
         )
-        el.text = text
 
     polygon([to_svg(z) for z in base], _BASE_STYLE)
     polygon([to_svg(z) for z in (p_a, p_b, p_c)], _PLATFORM_STYLE)
@@ -151,23 +133,17 @@ def render_posture(
 
     legend_lines = []
     if title:
-        legend_lines.append(title)
+        legend_lines.append(_escape_text(title))
     if posture is not None:
         ta, tb, tc, al = posture.as_tuple()
         legend_lines.append(
             f"theta_a={ta:.2f}  theta_b={tb:.2f}  theta_c={tc:.2f}  alpha={al:.2f}"
         )
     for i, text in enumerate(legend_lines):
-        el = ET.SubElement(
-            svg,
-            "text",
-            {"x": "12", "y": _fmt(20.0 + 16.0 * i), "font-size": "13",
-             "font-family": "sans-serif", "fill": "#111"},
+        parts.append(
+            f'<text x="12" y="{_fmt(20.0 + 16.0 * i)}" font-size="13" '
+            f'font-family="sans-serif" fill="#111">{text}</text>'
         )
-        el.text = text
 
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        + ET.tostring(svg, encoding="unicode")
-        + "\n"
-    )
+    parts.append("</svg>\n")
+    return "".join(parts)

@@ -1,11 +1,12 @@
+import datetime
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction
 import pytest
 
 from parapose.cli import (
     ProblemFileError,
+    _utc_isoformat,
     main,
     parse_problem,
     problem_to_json,
@@ -216,6 +217,34 @@ class TestSolveCommand:
         assert lines[0].startswith("error: ")
         assert "positive and finite" in lines[0]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_physical_tolerance_must_be_positive_and_finite(self, capsys, value):
+        assert main(["solve", "--input", str(EXAMPLE1), "--tol-physical", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "positive and finite" in lines[0]
+
+
+class TestTimestamp:
+    def test_generated_at_is_utc_isoformat(self, problem1):
+        doc = report_to_json(solve_posture(problem1))
+        stamp = datetime.datetime.fromisoformat(doc["timestamp"]["generated_at"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
+
+    @pytest.mark.parametrize(
+        "ns",
+        [0, 1_700_000_000 * 10**9, 1_700_000_000 * 10**9 + 999, 1_792_327_001_123_456_789],
+    )
+    def test_matches_datetime_isoformat(self, ns):
+        secs, rest = divmod(ns, 10**9)
+        expected = datetime.datetime.fromtimestamp(secs, datetime.timezone.utc).replace(
+            microsecond=rest // 1000
+        )
+        assert _utc_isoformat(ns) == expected.isoformat()
+
 
 @pytest.fixture()
 def svg_files(tmp_path):
@@ -271,7 +300,7 @@ class TestSvgOutput:
         report = solve_posture(problem1)
         good = next(t for t in report.solutions if t.physical)
         render_posture(problem1, good, report.postures[0])  # fine
-        corrupted = replace(good, coords=(good.coords[0] + 0.05,) + good.coords[1:])
+        corrupted = good.replace(coords=(good.coords[0] + 0.05,) + good.coords[1:])
         with pytest.raises(VertexMismatchError):
             render_posture(problem1, corrupted, report.postures[0])
 

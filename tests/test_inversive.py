@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -256,6 +258,12 @@ class TestUniPoly:
         assert parse_unipoly(G8.to_text()) == G8
         assert G8.to_text() == "1, -213/50, 165857/25600, -213/50, 1"
         assert parse_unipoly("0").is_zero
+
+    def test_pickle_and_copy_keep_mode(self):
+        for f in (G8, G8.to_floats(), UniPoly([]), UniPoly([0j])):
+            for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+                assert clone == f
+                assert clone.is_exact == f.is_exact
 
     def test_leading_coefficient(self):
         assert G8.leading_coefficient == gq(1)

@@ -1,5 +1,5 @@
+import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,8 +144,9 @@ class TestPhysicalFilter:
         assert len(marked) == 1 and not marked[0].physical
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            filter_physical([], tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                filter_physical([], tol=tol)
 
 
 class TestAngles:
@@ -198,13 +199,21 @@ class TestResiduals:
     def test_perturbation_detected(self, problem1, ideal1):
         rep = solve_posture(problem1)
         t = rep.solutions[0]
-        bumped = replace(
-            t, coords=(t.coords[0] + 0.1,) + t.coords[1:]
-        )
+        bumped = t.replace(coords=(t.coords[0] + 0.1,) + t.coords[1:])
         assert residual_max(bumped, ideal1) > 0.01
 
 
 class TestSolvePosture:
+    @pytest.mark.parametrize("name", ["tol_root", "tol_physical"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerances_checked_before_groebner(self, problem1, monkeypatch, name, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("buchberger ran before the tolerance check")
+
+        monkeypatch.setattr("parapose.kinematics.buchberger", unreachable)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_posture(problem1, **{name: value})
+
     def test_example_one_postures(self, problem1):
         rep = solve_posture(problem1)
         assert len(rep.postures) == 2

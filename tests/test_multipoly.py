@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -168,6 +170,11 @@ class TestArithmetic:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             X.terms = ()
+
+    def test_pickle_and_copy(self):
+        for p in ((X + Y + 1) * (X * Y + CC) * I_UNIT, MultiPoly.zero()):
+            for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert clone == p and clone.terms == p.terms
 
 
 class TestDivision:
