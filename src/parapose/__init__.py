@@ -8,7 +8,7 @@ self-reciprocal polynomials, harmonic conjugates) that explains the
 structure of the eliminants.
 """
 
-from .gaussrat import GaussianRational, Rational, parse_gaussian, parse_rational
+from .gaussrat import GaussianRational, parse_gaussian, parse_rational
 from .groebner import (
     EliminationView,
     GroebnerBasis,
@@ -47,7 +47,6 @@ from .multipoly import (
     N_VARS,
     VAR_NAMES,
     PolyParseError,
-    lex_compare,
     multi_divide,
     normal_form,
     parse_poly,
@@ -60,14 +59,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianRational",
-    "Rational",
     "parse_rational",
     "parse_gaussian",
     "MultiPoly",
     "N_VARS",
     "VAR_NAMES",
     "PolyParseError",
-    "lex_compare",
     "multi_divide",
     "normal_form",
     "parse_poly",

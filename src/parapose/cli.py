@@ -12,10 +12,10 @@ Problem files are JSON with exact values only::
       "strokes": {"s_a": "2", "s_b": "7/2", "s_c": "5/2"}
     }
 
-Rationals are strings ("p/q" or "p") so no value ever passes through a
-float.  Reports are deterministic: rerunning the same input produces
-byte-identical JSON once the single "timestamp" field (wall-clock data)
-is removed.
+Rationals are strings ("p/q" or "p") or JSON integers, so no value ever
+passes through a float; any other JSON type is rejected.  Reports are
+deterministic: rerunning the same input produces byte-identical JSON
+once the single "timestamp" field (wall-clock data) is removed.
 
 Exit codes: 0 success, 1 usage error, 2 solver or input error.
 """
@@ -31,6 +31,8 @@ from pathlib import Path
 from .gaussrat import GaussianRational, parse_rational
 from .groebner import PairLimitExceeded, buchberger
 from .kinematics import (
+    DEFAULT_PHYSICAL_TOL,
+    DEFAULT_ROOT_TOL,
     ManipulatorProblem,
     ShapePositionError,
     SolutionReport,
@@ -53,12 +55,29 @@ __all__ = [
 
 
 class ProblemFileError(ValueError):
-    """A problem file failed validation; message names the field."""
+    """An input file is unreadable or invalid; message names the file or field."""
 
 
-_GEOMETRY_RATIONALS = ("l_ab", "l_ac")
-_GEOMETRY_COMPLEX = ("d_ab", "d_ac", "cis_beta")
-_STROKES = ("s_a", "s_b", "s_c")
+# (section, key, reader) for every exact value of a problem file
+_FIELDS = (
+    ("geometry", "l_ab", parse_rational),
+    ("geometry", "l_ac", parse_rational),
+    ("geometry", "d_ab", GaussianRational.from_json),
+    ("geometry", "d_ac", GaussianRational.from_json),
+    ("geometry", "cis_beta", GaussianRational.from_json),
+    ("strokes", "s_a", parse_rational),
+    ("strokes", "s_b", parse_rational),
+    ("strokes", "s_c", parse_rational),
+)
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: {exc}") from exc
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -71,10 +90,7 @@ def _section(doc: dict, key: str) -> dict:
 
 def parse_problem(path) -> ManipulatorProblem:
     """Read and validate a problem file, exactly (no float intermediates)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from exc
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -82,31 +98,15 @@ def parse_problem(path) -> ManipulatorProblem:
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: expected a JSON object")
 
-    geometry = _section(doc, "geometry")
-    strokes = _section(doc, "strokes")
-
+    sections = {name: _section(doc, name) for name in ("geometry", "strokes")}
     values = {}
-    for key in _GEOMETRY_RATIONALS:
-        if key not in geometry:
-            raise ProblemFileError(f"geometry.{key}: missing")
+    for section, key, read in _FIELDS:
+        if key not in sections[section]:
+            raise ProblemFileError(f"{section}.{key}: missing")
         try:
-            values[key] = parse_rational(str(geometry[key]))
+            values[key] = read(sections[section][key])
         except ValueError as exc:
-            raise ProblemFileError(f"geometry.{key}: {exc}") from exc
-    for key in _GEOMETRY_COMPLEX:
-        if key not in geometry:
-            raise ProblemFileError(f"geometry.{key}: missing")
-        try:
-            values[key] = GaussianRational.from_json(geometry[key])
-        except ValueError as exc:
-            raise ProblemFileError(f"geometry.{key}: {exc}") from exc
-    for key in _STROKES:
-        if key not in strokes:
-            raise ProblemFileError(f"strokes.{key}: missing")
-        try:
-            values[key] = parse_rational(str(strokes[key]))
-        except ValueError as exc:
-            raise ProblemFileError(f"strokes.{key}: {exc}") from exc
+            raise ProblemFileError(f"{section}.{key}: {exc}") from exc
 
     try:
         return ManipulatorProblem(**values)
@@ -226,9 +226,9 @@ def run_solve(args) -> int:
 def run_gb(args) -> int:
     """Read one polynomial per line, print the reduced monic lex basis."""
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {args.input}: {exc.strerror or exc}", file=sys.stderr)
+        text = _read_text(args.input)
+    except ProblemFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     generators = []
@@ -272,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="problem JSON file")
     solve.add_argument("--output", help="report JSON path (default: stdout)")
     solve.add_argument("--svg-dir", help="directory for posture_<k>.svg files")
-    solve.add_argument("--tol-root", type=float, default=1e-12,
-                       help="root-residual tolerance (default 1e-12)")
-    solve.add_argument("--tol-physical", type=float, default=1e-6,
-                       help="unit-circle / conjugacy tolerance (default 1e-6)")
+    solve.add_argument("--tol-root", type=float, default=DEFAULT_ROOT_TOL,
+                       help="root-residual tolerance (default %(default)g)")
+    solve.add_argument("--tol-physical", type=float, default=DEFAULT_PHYSICAL_TOL,
+                       help="unit-circle / conjugacy tolerance (default %(default)g)")
     solve.add_argument("--emit-basis", action="store_true",
                        help="include the Groebner basis in the report")
     solve.set_defaults(func=run_solve)

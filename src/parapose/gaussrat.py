@@ -8,7 +8,8 @@ coefficient field for every symbolic computation in this package.
 Text forms: rationals print as ``p/q`` or ``p``; Gaussian rationals as
 ``p/q``, ``r/s*I`` or ``p/q+r/s*I`` and, for interchange, as JSON
 objects ``{"re": "p/q", "im": "r/s"}``.  Parsing and printing round-trip
-losslessly.
+losslessly.  Read back, a rational (or a JSON component) may also be a
+JSON integer; any other JSON type is a ValueError.
 
 The class is a hand-written immutable class with ``__slots__ = ("re",
 "im")``.  Its constructor coerces and validates both components; the
@@ -25,13 +26,10 @@ import re as _re
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "GaussianRational",
     "parse_rational",
     "parse_gaussian",
 ]
-
-Rational = Fraction
 
 _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -44,12 +42,17 @@ _REAL_IMAG_RE = _re.compile(
 )
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``p``.  Float and exponent forms are rejected."""
-    s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
-        raise ValueError(f"malformed rational {text!r} (expected p/q or p)")
-    return Fraction(s)
+def parse_rational(text) -> Fraction:
+    """Parse ``p/q`` or ``p``, or take a (JSON) integer as it is.
+
+    Floats, exponent forms, booleans and every other type are rejected
+    with ValueError.
+    """
+    if type(text) is int:
+        return Fraction(text)
+    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text.strip())):
+        raise ValueError(f"malformed rational {text!r} (expected p/q, p or an integer)")
+    return Fraction(text.strip())
 
 
 def _fraction(value) -> Fraction:
@@ -174,10 +177,6 @@ class GaussianRational:
     @property
     def is_zero(self) -> bool:
         return not (self.re or self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     # -- conversions ---------------------------------------------------------
 

@@ -15,13 +15,12 @@ generator scaling and selection details.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .multipoly import (
     MultiPoly,
     N_VARS,
-    VAR_NAMES,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -30,7 +29,6 @@ from .multipoly import (
 )
 
 __all__ = [
-    "LEX_ORDER_TAG",
     "BuchbergerStats",
     "GroebnerBasis",
     "EliminationView",
@@ -39,8 +37,6 @@ __all__ = [
     "is_groebner_basis",
     "elimination_basis",
 ]
-
-LEX_ORDER_TAG = "lex:" + ">".join(VAR_NAMES)
 
 DEFAULT_PAIR_LIMIT = 100_000
 
@@ -86,8 +82,8 @@ class GroebnerBasis(Record):
     hashing or the repr.
     """
 
-    __slots__ = ("elements", "order_tag", "stats")
-    _defaults = {"order_tag": LEX_ORDER_TAG, "stats": None}
+    __slots__ = ("elements", "stats")
+    _defaults = {"stats": None}
     _hidden = ("stats",)
 
     def __iter__(self):

@@ -11,8 +11,8 @@ real pairs against the unit-circle diameter.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from ._record import Record
 from .gaussrat import GaussianRational, parse_gaussian

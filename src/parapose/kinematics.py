@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .gaussrat import GaussianRational
-from .groebner import BuchbergerStats, GroebnerBasis, buchberger, elimination_basis
+from .groebner import buchberger, elimination_basis
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
-from .rootfind import find_roots
+from .rootfind import DEFAULT_TOL as DEFAULT_ROOT_TOL, find_roots
 
 __all__ = [
     "ManipulatorProblem",
@@ -170,7 +170,7 @@ def back_substitute(basis, root: complex) -> SolutionTuple:
     last one, exactly one element linear in that variable with every
     other monomial supported on strictly lower chain positions.
     """
-    elements = list(basis.elements if isinstance(basis, GroebnerBasis) else basis)
+    elements = list(basis)
     coords = [None] * N_VARS
     coords[N_VARS - 1] = complex(root)
 
@@ -182,20 +182,13 @@ def back_substitute(basis, root: complex) -> SolutionTuple:
                 f"triangular extension unavailable: variable {VAR_NAMES[v]} "
                 f"has {len(matches)} linear basis elements"
             )
-        g = matches[0]
-        total = 0j
-        for mono, coeff in g.terms[1:]:
-            if any(mono[i] for i in range(v + 1)):
-                raise ShapePositionError(
-                    f"triangular extension unavailable: variable {VAR_NAMES[v]} "
-                    f"element mixes higher variables"
-                )
-            value = complex(coeff)
-            for i in range(v + 1, N_VARS):
-                if mono[i]:
-                    value *= coords[i] ** mono[i]
-            total += value
-        coords[v] = -total
+        tail = matches[0].terms[1:]
+        if any(mono[i] for mono, _ in tail for i in range(v + 1)):
+            raise ShapePositionError(
+                f"triangular extension unavailable: variable {VAR_NAMES[v]} "
+                f"element mixes higher variables"
+            )
+        coords[v] = -MultiPoly._trusted(tail).evaluate(coords)
 
     return SolutionTuple(coords=tuple(coords))
 
@@ -254,15 +247,14 @@ def _eliminant_unipoly(p: MultiPoly) -> UniPoly:
 def solve_posture(
     problem: ManipulatorProblem,
     *,
-    tol_root: float = 1e-12,
+    tol_root: float = DEFAULT_ROOT_TOL,
     tol_physical: float = DEFAULT_PHYSICAL_TOL,
-    max_iter: int = 200,
-    pair_limit: int = 100_000,
 ) -> SolutionReport:
     """Run the full pipeline: ideal, basis, eliminant, roots, postures.
 
     Both tolerances must be positive and finite; they are checked before
-    any work is done.
+    any work is done.  The pair and root-iteration budgets are those of
+    ``buchberger`` and ``find_roots``.
     """
     _require_tolerance(tol_root, "root")
     _require_tolerance(tol_physical, "physical")
@@ -272,7 +264,7 @@ def solve_posture(
     t1 = time.monotonic()
     timings["build_ideal"] = (t1 - t0) * 1e3
 
-    basis = buchberger(ideal, pair_limit=pair_limit)
+    basis = buchberger(ideal)
     t2 = time.monotonic()
     timings["groebner"] = (t2 - t1) * 1e3
 
@@ -288,7 +280,7 @@ def solve_posture(
     # eliminant and its constant term is nonzero
     self_reciprocal = is_self_reciprocal(eliminant)
 
-    stats = basis.stats or BuchbergerStats()
+    stats = basis.stats
     diagnostics = {
         "basis_size": len(basis.elements),
         "pairs_considered": stats.pairs_considered,
@@ -300,34 +292,23 @@ def solve_posture(
         "eliminant_degree": eliminant.degree,
     }
 
-    if eliminant.degree == 0:
-        timings["total"] = (time.monotonic() - t0) * 1e3
-        diagnostics["root_iterations"] = 0
-        diagnostics["physical_count"] = 0
-        return SolutionReport(
-            problem=problem,
-            basis=basis,
-            eliminant=eliminant,
-            eliminant_self_reciprocal=self_reciprocal,
-            solutions=(),
-            postures=(),
-            empty_variety=True,
-            diagnostics=diagnostics,
-            timings_ms=timings,
-        )
-
-    roots = find_roots(eliminant, tol=tol_root, max_iter=max_iter)
+    # a degree-0 eliminant is a nonzero constant: the variety is empty
+    empty_variety = eliminant.degree == 0
+    roots, iterations = (), 0
+    if not empty_variety:
+        found = find_roots(eliminant, tol=tol_root)
+        roots, iterations = found.roots, found.iterations
     t3 = time.monotonic()
     timings["rootfind"] = (t3 - t2) * 1e3
 
-    tuples = [back_substitute(basis, r) for r in roots.roots]
+    tuples = [back_substitute(basis, r) for r in roots]
     tuples = filter_physical(tuples, tol_physical)
     tuples = [t.replace(residual_max=residual_max(t, ideal)) for t in tuples]
     postures = tuple(to_angles(t) for t in tuples if t.physical)
     timings["back_substitute"] = (time.monotonic() - t3) * 1e3
     timings["total"] = (time.monotonic() - t0) * 1e3
 
-    diagnostics["root_iterations"] = roots.iterations
+    diagnostics["root_iterations"] = iterations
     diagnostics["physical_count"] = sum(1 for t in tuples if t.physical)
 
     return SolutionReport(
@@ -337,6 +318,7 @@ def solve_posture(
         eliminant_self_reciprocal=self_reciprocal,
         solutions=tuple(tuples),
         postures=postures,
+        empty_variety=empty_variety,
         diagnostics=diagnostics,
         timings_ms=timings,
     )

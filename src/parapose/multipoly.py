@@ -32,9 +32,9 @@ argument.
 from __future__ import annotations
 
 import re as _re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Mapping, Sequence
 
 from .gaussrat import GaussianRational
 
@@ -43,7 +43,6 @@ __all__ = [
     "VAR_NAMES",
     "MONO_ONE",
     "MultiPoly",
-    "lex_compare",
     "mono_mul",
     "mono_divides",
     "mono_div",
@@ -69,13 +68,6 @@ _new = object.__new__
 
 
 # -- monomial helpers (monomials are plain 8-tuples of ints) ---------------
-
-def lex_compare(m1, m2) -> int:
-    """-1, 0 or 1 as m1 <, =, > m2 in the fixed lex chain."""
-    if m1 == m2:
-        return 0
-    return 1 if m1 > m2 else -1
-
 
 def mono_mul(m1, m2):
     return tuple(map(add, m1, m2))
@@ -175,12 +167,6 @@ class MultiPoly:
     @property
     def leading_coefficient(self) -> GaussianRational:
         return self.leading_term[1]
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(m) for m, _ in self._terms)
 
     def support(self) -> frozenset:
         """Indices of the variables that actually occur."""

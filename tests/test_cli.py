@@ -176,6 +176,41 @@ class TestSolveCommand:
         assert lines[0].startswith("error: ")
         assert "expected a JSON object" in lines[0]
 
+    @pytest.mark.parametrize("value", [6, 6.0, True, None, [6]], ids=repr)
+    @pytest.mark.parametrize("field", ["geometry.l_ab", "geometry.d_ab.re"])
+    def test_json_types_of_exact_values(self, tmp_path, capsys, field, value):
+        # one rule for every exact value: a JSON integer or a "p/q" string
+        body = example_body()
+        section, key, *part = field.split(".")
+        if part:
+            body[section][key][part[0]] = value
+        else:
+            body[section][key] = value
+        path = write_problem(tmp_path, body)
+        code = main(["solve", "--input", str(path)])
+        captured = capsys.readouterr()
+        if type(value) is int:
+            assert code == 0
+            echoed = json.loads(captured.out)["problem"][section][key]
+            assert (echoed[part[0]] if part else echoed) == "6"
+            return
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {section}.{key}: ")
+
+    @pytest.mark.parametrize("command", ["solve", "gb"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: ")
+
     def test_invalid_problem_is_solver_error(self, tmp_path):
         path = write_problem(tmp_path, example_body(**{"strokes.s_b": "bogus"}))
         assert main(["solve", "--input", str(path)]) == 2

@@ -162,6 +162,19 @@ class TestTextForms:
         packed = json.loads(json.dumps(z.to_json()))
         assert GaussianRational.from_json(packed) == z
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"re": 6.0, "im": "0"}, {"re": True, "im": "0"}, {"re": "1", "im": None},
+         {"re": [6], "im": "0"}, {"re": "1"}, [6], 6, None],
+        ids=repr,
+    )
+    def test_from_json_rejects_with_value_error(self, obj):
+        with pytest.raises(ValueError):
+            GaussianRational.from_json(obj)
+
+    def test_from_json_takes_integer_components(self):
+        assert GaussianRational.from_json({"re": 6, "im": "-1/2"}) == gq(6, Fraction(-1, 2))
+
     def test_float_components_rejected(self):
         with pytest.raises(TypeError):
             GaussianRational(0.5, 0)

@@ -12,7 +12,6 @@ from parapose.multipoly import (
     MultiPoly,
     PolyParseError,
     VAR_NAMES,
-    lex_compare,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -46,32 +45,33 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 
 class TestLexOrder:
+    """Monomials are 8-tuples, so the lex chain is native tuple order."""
+
     def test_highest_variable_dominates(self):
-        assert lex_compare(mono(CA=1), mono(CCAL=4)) == 1
+        assert mono(CA=1) > mono(CCAL=4)
 
     def test_first_differing_exponent(self):
-        assert lex_compare(mono(CA=2, CB=1), mono(CA=1, CB=2)) == 1
+        assert mono(CA=2, CB=1) > mono(CA=1, CB=2)
 
     def test_equal(self):
-        assert lex_compare(mono(CC=3), mono(CC=3)) == 0
+        m = mono(CC=3)
+        assert m == mono(CC=3) and not m < mono(CC=3) and not m > mono(CC=3)
 
     @given(monomials, monomials)
     def test_antisymmetric(self, m1, m2):
-        assert lex_compare(m1, m2) == -lex_compare(m2, m1)
+        assert (m1 < m2) == (m2 > m1)
+        if m1 <= m2 <= m1:
+            assert m1 == m2
 
     @given(monomials, monomials, monomials)
     def test_transitive(self, m1, m2, m3):
-        if lex_compare(m1, m2) >= 0 and lex_compare(m2, m3) >= 0:
-            assert lex_compare(m1, m3) >= 0
+        if m1 >= m2 and m2 >= m3:
+            assert m1 >= m3
 
     @given(monomials, monomials, monomials)
     def test_multiplicative(self, m1, m2, m):
-        c = lex_compare(m1, m2)
-        shifted = lex_compare(
-            tuple(a + b for a, b in zip(m1, m)),
-            tuple(a + b for a, b in zip(m2, m)),
-        )
-        assert c == shifted
+        shifted1, shifted2 = mono_mul(m1, m), mono_mul(m2, m)
+        assert (m1 < m2, m1 == m2) == (shifted1 < shifted2, shifted1 == shifted2)
 
 
 def _is_monomial(m):

@@ -17,7 +17,8 @@ def test_version_string():
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # each cold `parapose solve` pays for every module this import loads
+    # each cold `parapose solve` pays for every module this import loads;
+    # -S keeps `site` (which may import typing itself) out of the child
     code = (
         "import sys; before = set(sys.modules); import parapose.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -26,9 +27,12 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "parapose.cli" in added
-    assert not added & {"dataclasses", "inspect", "xml.etree.ElementTree", "datetime"}
+    assert not added & {
+        "dataclasses", "inspect", "xml.etree.ElementTree", "datetime", "typing"
+    }

@@ -19,6 +19,7 @@ from parapose.kinematics import (
     SolutionTuple,
     solve_posture,
 )
+from parapose.multipoly import MultiPoly
 from parapose.rootfind import RootSet
 
 from conftest import PROBLEMS_DIR
@@ -55,9 +56,7 @@ class TestRepr:
             "cis_beta=GaussianRational(Fraction(0, 1), Fraction(1, 1)), "
             "s_a=Fraction(2, 1), s_b=Fraction(7, 2), s_c=Fraction(5, 2))"
         )
-        basis_repr = (
-            "GroebnerBasis(elements=(), order_tag='lex:CA>CB>CC>AL>CCA>CCB>CCC>CCAL')"
-        )
+        basis_repr = "GroebnerBasis(elements=())"
         cases = [
             (problem, problem_repr),
             (
@@ -105,7 +104,7 @@ class TestEqualityAndHash:
         without = GroebnerBasis(elements)
         assert with_stats == without == report.basis
         assert hash(with_stats) == hash(without)
-        assert GroebnerBasis(elements, "other") != without
+        assert GroebnerBasis(elements[1:]) != without
 
     def test_mutable_records_unhashable(self, problem):
         report = SolutionReport(problem, GroebnerBasis(()), UniPoly([1]), True, (), ())
@@ -191,7 +190,7 @@ class TestReplace:
 
     def test_keeps_hidden_fields(self):
         stats = BuchbergerStats(3)
-        basis = GroebnerBasis((), stats=stats).replace(order_tag="t")
+        basis = GroebnerBasis((), stats=stats).replace(elements=(MultiPoly.variable(0),))
         assert basis.stats is stats
 
 
