@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from pathlib import Path
 
 from .gaussrat import GaussianRational, parse_rational
 from .groebner import PairLimitExceeded, buchberger
@@ -69,11 +69,13 @@ _FIELDS = (
     ("strokes", "s_b", parse_rational),
     ("strokes", "s_c", parse_rational),
 )
+_SECTION_OF = {key: section for section, key, _ in _FIELDS}
 
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ProblemFileError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -95,6 +97,8 @@ def parse_problem(path) -> ManipulatorProblem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ProblemFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: expected a JSON object")
 
@@ -111,7 +115,9 @@ def parse_problem(path) -> ManipulatorProblem:
     try:
         return ManipulatorProblem(**values)
     except (TypeError, ValueError) as exc:
-        raise ProblemFileError(str(exc)) from exc
+        # the record's messages start with the field name
+        key = str(exc).partition(":")[0]
+        raise ProblemFileError(f"{_SECTION_OF[key]}.{exc}") from exc
 
 
 def problem_to_json(problem: ManipulatorProblem) -> dict:
@@ -196,19 +202,21 @@ def run_solve(args) -> int:
         payload = json.dumps(doc, indent=2) + "\n"
 
         if args.output:
-            Path(args.output).write_text(payload, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(payload)
         else:
             sys.stdout.write(payload)
 
         if args.svg_dir:
-            svg_dir = Path(args.svg_dir)
-            svg_dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(args.svg_dir, exist_ok=True)
             k = 0
             physical = [t for t in report.solutions if t.physical]
             for t, posture in zip(physical, report.postures):
                 k += 1
                 svg = render_posture(problem, t, posture, title=f"posture {k}")
-                (svg_dir / f"posture_{k}.svg").write_text(svg, encoding="utf-8")
+                svg_path = os.path.join(args.svg_dir, f"posture_{k}.svg")
+                with open(svg_path, "w", encoding="utf-8") as f:
+                    f.write(svg)
     except (
         ProblemFileError,
         ShapePositionError,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._record import Record
 from .gaussrat import GaussianRational, parse_gaussian
@@ -48,39 +47,26 @@ UNIT_CIRCLE = InversionCircle(0j, 1.0)
 
 
 class UniPoly:
-    """Univariate polynomial, coefficients stored constant-term first.
+    """Univariate polynomial over Q(i), coefficients stored constant-term first.
 
-    Two coefficient modes: exact (GaussianRational) and numeric
-    (complex).  Trailing zero coefficients are trimmed so the leading
-    coefficient is nonzero; the zero polynomial is an empty list.
+    Coefficients are GaussianRational; int and Fraction values are lifted,
+    any other type (float and complex included) is a TypeError.  Trailing
+    zero coefficients are trimmed so the leading coefficient is nonzero;
+    the zero polynomial has no coefficients.
     """
 
-    __slots__ = ("_coefficients", "_exact")
+    __slots__ = ("_coefficients",)
 
     def __init__(self, coefficients: Iterable):
-        coeffs = list(coefficients)
-        exact = None
         out = []
-        for c in coeffs:
-            if isinstance(c, (GaussianRational, int, Fraction)):
-                if exact is False:
-                    raise TypeError("mixed exact and numeric coefficients")
-                exact = True
-                out.append(c if isinstance(c, GaussianRational) else GaussianRational(c))
-            elif isinstance(c, (complex, float)):
-                if exact is True:
-                    raise TypeError("mixed exact and numeric coefficients")
-                exact = False
-                z = complex(c)
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise ValueError("numeric coefficients must be finite")
-                out.append(z)
-            else:
+        for c in coefficients:
+            z = GaussianRational._coerce(c)
+            if z is None:
                 raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+            out.append(z)
         while out and not out[-1]:
             out.pop()
         object.__setattr__(self, "_coefficients", tuple(out))
-        object.__setattr__(self, "_exact", bool(exact) if out else (exact is not False))
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -99,25 +85,13 @@ class UniPoly:
         return not self._coefficients
 
     @property
-    def is_exact(self) -> bool:
-        return self._exact
-
-    @property
     def leading_coefficient(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._coefficients[-1]
 
-    def to_floats(self) -> "UniPoly":
-        """Numeric-mode copy (nearest double per component)."""
-        if not self._exact:
-            return self
-        return UniPoly([c.to_complex() for c in self._coefficients])
-
     def to_text(self) -> str:
         """Comma-separated coefficient list, constant term first."""
-        if not self._exact:
-            raise ValueError("text form is defined for exact coefficients")
         if self.is_zero:
             return "0"
         return ", ".join(str(c) for c in self._coefficients)
@@ -125,18 +99,16 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self._exact == other._exact and self._coefficients == other._coefficients
+        return self._coefficients == other._coefficients
 
     def __hash__(self):
-        return hash((self._exact, self._coefficients))
+        return hash(self._coefficients)
 
     def __reduce__(self):
-        # a numeric zero coefficient keeps the numeric zero polynomial numeric
-        return (UniPoly, (self._coefficients or (() if self._exact else (0j,)),))
+        return (UniPoly, (self._coefficients,))
 
     def __repr__(self):
-        mode = "exact" if self._exact else "numeric"
-        return f"UniPoly({list(self._coefficients)!r}, {mode})"
+        return f"UniPoly({list(self._coefficients)!r})"
 
 
 def parse_unipoly(text: str) -> UniPoly:
@@ -183,8 +155,6 @@ def reciprocal(f: UniPoly) -> UniPoly:
 
 def _exact_predicate_input(f: UniPoly):
     _require_nonzero(f)
-    if not f.is_exact:
-        raise TypeError("predicate requires exact coefficients")
     if f.coefficients[0].is_zero:
         # a root at the origin has its inverse at infinity
         raise ValueError("constant term must be nonzero")

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .gaussrat import GaussianRational
+from .gaussrat import GaussianRational, parse_rational
 from .groebner import buchberger, elimination_basis
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
@@ -51,7 +51,10 @@ class ShapePositionError(RuntimeError):
 def _positive_rational(value, name: str) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"{name}: exact rational required, got float")
-    q = Fraction(value)
+    try:
+        q = value if isinstance(value, Fraction) else parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
     if q <= 0:
         raise ValueError(f"{name}: lengths must be positive")
     return q
@@ -159,38 +162,39 @@ def build_ideal(problem: ManipulatorProblem) -> list:
     return [f1, f2, f3, f4, f5, f6, f7, f8]
 
 
-def _unit_mono(index: int):
-    return tuple(1 if i == index else 0 for i in range(N_VARS))
-
-
-def back_substitute(basis, root: complex) -> SolutionTuple:
-    """Extend one eliminant root to all 8 coordinates in chain order.
+def _shape_tails(basis) -> list:
+    """Tails of the linear elements for CCC down to CA.
 
     Requires the basis in shape position: for each variable above the
-    last one, exactly one element linear in that variable with every
-    other monomial supported on strictly lower chain positions.
+    last one, exactly one element whose leading monomial is that variable.
     """
-    elements = list(basis)
-    coords = [None] * N_VARS
-    coords[N_VARS - 1] = complex(root)
-
+    elements = [g for g in basis if not g.is_zero]
+    tails = []
     for v in range(N_VARS - 2, -1, -1):
-        unit = _unit_mono(v)
-        matches = [g for g in elements if not g.is_zero and g.leading_monomial == unit]
+        unit = MultiPoly.variable(v).leading_monomial
+        matches = [g for g in elements if g.leading_monomial == unit]
         if len(matches) != 1:
             raise ShapePositionError(
                 f"triangular extension unavailable: variable {VAR_NAMES[v]} "
                 f"has {len(matches)} linear basis elements"
             )
-        tail = matches[0].terms[1:]
-        if any(mono[i] for mono, _ in tail for i in range(v + 1)):
-            raise ShapePositionError(
-                f"triangular extension unavailable: variable {VAR_NAMES[v]} "
-                f"element mixes higher variables"
-            )
-        coords[v] = -MultiPoly._trusted(tail).evaluate(coords)
+        # every tail monomial is lex-below the variable itself, so it holds
+        # only the variables after it, whose values are found first
+        tails.append(MultiPoly._trusted(matches[0].terms[1:]))
+    return tails
 
+
+def _extend(tails, root: complex) -> SolutionTuple:
+    coords = [None] * N_VARS
+    coords[N_VARS - 1] = complex(root)
+    for v, tail in zip(range(N_VARS - 2, -1, -1), tails):
+        coords[v] = -tail.evaluate(coords)
     return SolutionTuple(coords=tuple(coords))
+
+
+def back_substitute(basis, root: complex) -> SolutionTuple:
+    """Extend one eliminant root to all 8 coordinates of a shape-position basis."""
+    return _extend(_shape_tails(basis), root)
 
 
 def _is_physical(coords, tol: float) -> bool:
@@ -233,14 +237,17 @@ def residual_max(t: SolutionTuple, ideal: Sequence[MultiPoly]) -> float:
     return max(abs(f.evaluate(t.coords)) for f in ideal)
 
 
-def _eliminant_unipoly(p: MultiPoly) -> UniPoly:
-    """Exact univariate view of a polynomial supported on the last variable."""
-    var = N_VARS - 1
-    if any(i != var for i in p.support()):
-        raise ShapePositionError("eliminant is not univariate in the last variable")
-    coeffs = [GaussianRational(0)] * (max(m[var] for m, _ in p.terms) + 1)
-    for mono, c in p.terms:
-        coeffs[mono[var]] = c
+def _read_eliminant(basis) -> UniPoly:
+    """The basis element in the last variable alone, as an exact UniPoly."""
+    elements = elimination_basis(basis, N_VARS - 1).elements
+    if len(elements) != 1:
+        raise ShapePositionError(
+            f"expected one univariate eliminant at level {N_VARS - 1}, "
+            f"found {len(elements)}"
+        )
+    coeffs = [GaussianRational(0)] * (elements[0].leading_monomial[-1] + 1)
+    for mono, c in elements[0].terms:
+        coeffs[mono[-1]] = c
     return UniPoly(coeffs)
 
 
@@ -268,13 +275,7 @@ def solve_posture(
     t2 = time.monotonic()
     timings["groebner"] = (t2 - t1) * 1e3
 
-    view = elimination_basis(basis, N_VARS - 1)
-    if len(view.elements) != 1:
-        raise ShapePositionError(
-            f"expected one univariate eliminant at level {N_VARS - 1}, "
-            f"found {len(view.elements)}"
-        )
-    eliminant = _eliminant_unipoly(view.elements[0])
+    eliminant = _read_eliminant(basis)
 
     # AL*CCAL - 1 lies in the ideal, so CCAL is invertible modulo the
     # eliminant and its constant term is nonzero
@@ -294,14 +295,16 @@ def solve_posture(
 
     # a degree-0 eliminant is a nonzero constant: the variety is empty
     empty_variety = eliminant.degree == 0
-    roots, iterations = (), 0
+    tails, roots, iterations = (), (), 0
     if not empty_variety:
+        # a basis not in shape position fails before any root is found
+        tails = _shape_tails(basis)
         found = find_roots(eliminant, tol=tol_root)
         roots, iterations = found.roots, found.iterations
     t3 = time.monotonic()
     timings["rootfind"] = (t3 - t2) * 1e3
 
-    tuples = [back_substitute(basis, r) for r in roots]
+    tuples = [_extend(tails, r) for r in roots]
     tuples = filter_physical(tuples, tol_physical)
     tuples = [t.replace(residual_max=residual_max(t, ideal)) for t in tuples]
     postures = tuple(to_angles(t) for t in tuples if t.physical)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re as _re
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from operator import add, le, sub
 
 from .gaussrat import GaussianRational
@@ -192,18 +191,10 @@ class MultiPoly:
             _add_inplace(acc, mono, -coeff if negate else coeff)
         return _sorted_poly(acc.items())
 
-    @staticmethod
-    def _as_scalar(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
     def __add__(self, other):
         if isinstance(other, MultiPoly):
             return self._combine(other, False)
-        s = self._as_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         return self._combine(MultiPoly.constant(s), False)
@@ -213,7 +204,7 @@ class MultiPoly:
     def __sub__(self, other):
         if isinstance(other, MultiPoly):
             return self._combine(other, True)
-        s = self._as_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         return self._combine(MultiPoly.constant(s), True)
@@ -231,7 +222,7 @@ class MultiPoly:
                 for m2, c2 in other._terms:
                     _add_inplace(acc, mono_mul(m1, m2), c1 * c2)
             return _sorted_poly(acc.items())
-        s = self._as_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         return self.term_shift(MONO_ONE, s)
@@ -478,7 +469,10 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
+            try:
+                tokens.append(("int", int(m.group("int"))))
+            except ValueError as exc:  # longer than sys.get_int_max_str_digits()
+                raise PolyParseError(str(exc)) from exc
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:

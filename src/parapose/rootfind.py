@@ -47,21 +47,16 @@ class RootSet(Record):
 
 
 def eval_poly(f: UniPoly, z):
-    """Horner evaluation; exact when both operands are exact."""
-    coeffs = f.coefficients
-    if not coeffs:
-        return 0j
-    if f.is_exact and isinstance(z, GaussianRational):
+    """Horner evaluation: exact at a GaussianRational, in doubles otherwise."""
+    if isinstance(z, GaussianRational):
         acc = GaussianRational(0)
-        for c in reversed(coeffs):
+        for c in reversed(f.coefficients):
             acc = acc * z + c
         return acc
-    if f.is_exact:
-        coeffs = f.to_floats().coefficients
     acc = 0j
     zz = complex(z)
-    for c in reversed(coeffs):
-        acc = acc * zz + c
+    for c in reversed(f.coefficients):
+        acc = acc * zz + c.to_complex()
     return acc
 
 
@@ -210,6 +205,9 @@ def find_roots(
 ) -> RootSet:
     """All complex roots of f, polished, sorted by (re, im).
 
+    The exact coefficients are rounded to doubles once; a leading
+    coefficient that rounds to zero is a ValueError.
+
     The residual acceptance test normalises per root by the evaluation
     scale sum |c_i| |z|^i (relative backward error); failing it, or
     running out of iterations while residuals are still large, raises
@@ -219,12 +217,13 @@ def find_roots(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
-    numeric = f.to_floats()
-    coeffs = numeric.coefficients
+    coeffs = [c.to_complex() for c in f.coefficients]
     if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
     n = len(coeffs) - 1
     lead = coeffs[-1]
+    if lead == 0:
+        raise ValueError("leading coefficient is zero in double precision")
     monic = [c / lead for c in coeffs]
 
     roots, iterations = _aberth(monic, tol, max_iter)
@@ -239,7 +238,7 @@ def find_roots(
     roots = [roots[i] for i in order]
     multiplicities = [multiplicities[i] for i in order]
 
-    residuals = [abs(eval_poly(numeric, z)) for z in roots]
+    residuals = [abs(_horner_pair(coeffs, z)[0]) for z in roots]
     if any(
         r > tol * _eval_scale(coeffs, z) for r, z in zip(residuals, roots)
     ):

@@ -16,7 +16,7 @@ import pytest
 
 from parapose.cli import main
 from parapose.gaussrat import GaussianRational
-from parapose.groebner import buchberger, elimination_basis, is_groebner_basis
+from parapose.groebner import buchberger, is_groebner_basis
 from parapose.inversive import (
     InversionCircle,
     UniPoly,
@@ -26,7 +26,7 @@ from parapose.inversive import (
     is_self_inversive,
     is_self_reciprocal,
 )
-from parapose.kinematics import _eliminant_unipoly, solve_posture
+from parapose.kinematics import _read_eliminant, solve_posture
 from parapose.multipoly import mono_divides, normal_form, parse_poly
 from parapose.rootfind import find_roots
 
@@ -92,9 +92,9 @@ def test_criterion_2_golden_basis_example2(ideal2, golden_basis2):
 
 def test_criterion_3_eliminant_roots(basis1, basis2):
     with criterion(3, "eliminant roots match the reference values at 1e-3"):
-        roots1 = find_roots(_eliminant_unipoly(elimination_basis(basis1, 7).elements[0]))
+        roots1 = find_roots(_read_eliminant(basis1))
         match_roots(roots1.roots, ROOTS_EXAMPLE1, 1e-3)
-        roots2 = find_roots(_eliminant_unipoly(elimination_basis(basis2, 7).elements[0]))
+        roots2 = find_roots(_read_eliminant(basis2))
         match_roots(roots2.roots, ROOTS_EXAMPLE2, 1e-3)
 
 
@@ -113,8 +113,8 @@ def test_criterion_4_posture_angles(problem1, problem2):
 
 def test_criterion_5_self_reciprocity_and_harmonic_pairs(basis1, basis2):
     with criterion(5, "self-reciprocal eliminants and harmonic real roots"):
-        g8 = _eliminant_unipoly(elimination_basis(basis1, 7).elements[0])
-        h8 = _eliminant_unipoly(elimination_basis(basis2, 7).elements[0])
+        g8 = _read_eliminant(basis1)
+        h8 = _read_eliminant(basis2)
         assert is_self_reciprocal(g8)
         assert is_self_reciprocal(h8)
 

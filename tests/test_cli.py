@@ -1,5 +1,6 @@
 import datetime
 import json
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 import pytest
@@ -18,6 +19,13 @@ from parapose.svgdraw import VertexMismatchError, render_posture
 
 from conftest import PROBLEMS_DIR
 from golden import BASIS_EXAMPLE1
+
+# an interpreter without (or with a disabled) limit on int-string conversion
+# parses integers of any length
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on int-string conversion",
+)
 
 EXAMPLE1 = PROBLEMS_DIR / "example1.json"
 EXAMPLE2 = PROBLEMS_DIR / "example2.json"
@@ -176,10 +184,11 @@ class TestSolveCommand:
         assert lines[0].startswith("error: ")
         assert "expected a JSON object" in lines[0]
 
-    @pytest.mark.parametrize("value", [6, 6.0, True, None, [6]], ids=repr)
+    @pytest.mark.parametrize("value", [6, 6.0, True, None, [6], "0"], ids=repr)
     @pytest.mark.parametrize("field", ["geometry.l_ab", "geometry.d_ab.re"])
     def test_json_types_of_exact_values(self, tmp_path, capsys, field, value):
-        # one rule for every exact value: a JSON integer or a "p/q" string
+        # one rule for every exact value: a JSON integer or a "p/q" string;
+        # "0" fails validation (a zero length, a zero anchor), named alike
         body = example_body()
         section, key, *part = field.split(".")
         if part:
@@ -199,6 +208,33 @@ class TestSolveCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {section}.{key}: ")
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"geometry.d_ac": {"re": "6", "im": "0"}}, "geometry.d_ac"),
+            ({"geometry.cis_beta": {"re": "1", "im": "1"}}, "geometry.cis_beta"),
+            ({"strokes.s_c": "-1"}, "strokes.s_c"),
+        ],
+    )
+    def test_validation_errors_name_the_section(self, tmp_path, capsys, overrides, field):
+        path = write_problem(tmp_path, example_body(**overrides))
+        assert main(["solve", "--input", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {field}: ")
+
+    @needs_digit_limit
+    def test_overlong_json_integer_names_the_file(self, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 700
+        text = json.dumps(example_body()).replace('"2"', "1" * digits)
+        path = write_problem(tmp_path, text)
+        assert main(["solve", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("command", ["solve", "gb"])
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys, command):
@@ -368,6 +404,18 @@ class TestGbCommand:
         gen_file.write_text("CA\nnot a poly\n")
         assert main(["gb", "--input", str(gen_file)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @needs_digit_limit
+    def test_overlong_integer_is_parse_error(self, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 700
+        gen_file = tmp_path / "gens.txt"
+        gen_file.write_text(f"CA\nCA - {'1' * digits}\n")
+        assert main(["gb", "--input", str(gen_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line 2: ")
 
     def test_missing_file(self, tmp_path):
         assert main(["gb", "--input", str(tmp_path / "none.txt")]) == 2

@@ -16,8 +16,7 @@ from parapose.kinematics import (
     solve_posture,
     to_angles,
 )
-from parapose.groebner import elimination_basis
-from parapose.kinematics import PostureAngles, _eliminant_unipoly
+from parapose.kinematics import PostureAngles, _read_eliminant
 from parapose.multipoly import MultiPoly, parse_poly
 from parapose.rootfind import eval_poly, find_roots
 
@@ -59,6 +58,17 @@ class TestManipulatorProblem:
                       s_c=Fraction(5, 2))
         with pytest.raises(TypeError, match="s_a"):
             ManipulatorProblem(**kwargs)
+
+    @pytest.mark.parametrize("value", ["1.5", "1e1", True], ids=repr)
+    def test_problem_file_rule_for_lengths(self, value):
+        # the rule of gaussrat.parse_rational, as in problem files
+        kwargs = dict(RIGHT_TRIANGLE_GEOMETRY, s_a=Fraction(2),
+                      s_b=Fraction(7, 2), s_c=Fraction(5, 2))
+        kwargs["l_ab"] = value
+        with pytest.raises(ValueError, match="^l_ab: malformed rational"):
+            ManipulatorProblem(**kwargs)
+        kwargs["l_ab"] = "3/2"
+        assert ManipulatorProblem(**kwargs).l_ab == Fraction(3, 2)
 
     def test_non_unit_direction_rejected(self):
         kwargs = dict(RIGHT_TRIANGLE_GEOMETRY, s_a=Fraction(2),
@@ -105,13 +115,9 @@ class TestBuildIdeal:
         assert build_ideal(other)[7] == parse_poly("AL*CCAL - 1")
 
 
-def eliminant_of(basis):
-    return _eliminant_unipoly(elimination_basis(basis, 7).elements[0])
-
-
 class TestBackSubstitute:
     def test_extends_printed_partial_solutions(self, basis1):
-        roots = find_roots(eliminant_of(basis1)).roots
+        roots = find_roots(_read_eliminant(basis1)).roots
         lower = next(z for z in roots if abs(z - complex(0.944, -0.329)) < 1e-2)
         upper = next(z for z in roots if abs(z - complex(0.944, 0.329)) < 1e-2)
         t_lower = back_substitute(basis1, lower)
@@ -120,7 +126,7 @@ class TestBackSubstitute:
         assert abs(t_upper.coords[6] - complex(0.451, 0.892)) < 1e-3
 
     def test_base_step_residual(self, basis1):
-        eliminant = eliminant_of(basis1)
+        eliminant = _read_eliminant(basis1)
         for z in find_roots(eliminant).roots:
             assert abs(eval_poly(eliminant, z)) < 1e-10
 
@@ -313,6 +319,23 @@ class TestSolvePosture:
         monkeypatch.setattr(kin, "buchberger", lambda gens, **kw: no_univariate)
         with pytest.raises(ShapePositionError, match="univariate eliminant"):
             solve_posture(problem1)
+
+    def test_shape_checked_before_roots(self, problem1, monkeypatch):
+        import parapose.kinematics as kin
+        from parapose.groebner import buchberger
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("find_roots ran before the shape check")
+
+        # the eliminant has degree 2, but CCC has no linear element
+        not_shape = buchberger([parse_poly("CCAL^2 - 2"), parse_poly("CCC^2 - CCAL")])
+        monkeypatch.setattr(kin, "buchberger", lambda gens, **kw: not_shape)
+        monkeypatch.setattr(kin, "find_roots", unreachable)
+        with pytest.raises(ShapePositionError) as info:
+            solve_posture(problem1)
+        assert str(info.value) == (
+            "triangular extension unavailable: variable CCC has 0 linear basis elements"
+        )
 
 
 def generic_problem(rng):

@@ -34,5 +34,6 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     added = set(result.stdout.split())
     assert "parapose.cli" in added
     assert not added & {
-        "dataclasses", "inspect", "xml.etree.ElementTree", "datetime", "typing"
+        "dataclasses", "inspect", "xml.etree.ElementTree", "datetime", "typing",
+        "pathlib",
     }

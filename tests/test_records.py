@@ -87,7 +87,7 @@ class TestRepr:
             (
                 SolutionReport(problem, GroebnerBasis(()), UniPoly([1]), True, (), ()),
                 f"SolutionReport(problem={problem_repr}, basis={basis_repr}, "
-                "eliminant=UniPoly([GaussianRational(Fraction(1, 1), Fraction(0, 1))], exact), "
+                "eliminant=UniPoly([GaussianRational(Fraction(1, 1), Fraction(0, 1))]), "
                 "eliminant_self_reciprocal=True, solutions=(), postures=(), "
                 "empty_variety=False, diagnostics={}, timings_ms={})",
             ),

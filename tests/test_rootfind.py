@@ -25,14 +25,20 @@ H8 = UniPoly(
 )
 
 
-def poly_from_roots(roots, lead=1.0 + 0j):
-    """Expansion oracle: multiply out lead * prod (z - r)."""
+def expand_roots(roots, lead=1.0 + 0j):
+    """Expansion oracle: multiply out lead * prod (z - r) in doubles."""
     coeffs = [lead]
     for r in roots:
         coeffs = [0j] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= coeffs[i + 1] * r
-    return UniPoly(coeffs)
+    return coeffs
+
+
+def poly_from_roots(roots, lead=1.0 + 0j):
+    """The expansion as an exact polynomial with the same doubles."""
+    coeffs = expand_roots(roots, lead)
+    return UniPoly(gq(Fraction(c.real), Fraction(c.imag)) for c in coeffs)
 
 
 def match_roots(found, seeds, tol):
@@ -104,24 +110,29 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(UniPoly([gq(5)]))
 
+    def test_leading_coefficient_below_double_range_rejected(self):
+        # rounds to 0.0: dropping it would solve a polynomial of lower degree
+        with pytest.raises(ValueError, match="leading coefficient"):
+            find_roots(UniPoly([gq(1), gq(2), gq(Fraction(1, 10**400))]))
+
     def test_reconstruction_oracle(self):
         rng = random.Random(20260809)
         for _ in range(30):
             n = rng.randint(1, 12)
             seeds = sample_separated_roots(rng, n)
             lead = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.28))
-            f = poly_from_roots(seeds, lead)
-            rs = find_roots(f)
-            rebuilt = poly_from_roots(rs.roots, f.coefficients[-1])
-            scale = max(abs(c) for c in f.coefficients)
-            for a, b in zip(rebuilt.coefficients, f.coefficients):
+            expanded = expand_roots(seeds, lead)
+            rs = find_roots(poly_from_roots(seeds, lead))
+            rebuilt = expand_roots(rs.roots, lead)
+            scale = max(abs(c) for c in expanded)
+            for a, b in zip(rebuilt, expanded):
                 assert abs(a - b) <= 1e-8 * scale
 
     def test_real_coefficients_conjugate_closure(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(2, 8)
-            coeffs = [complex(rng.uniform(-3, 3), 0.0) for _ in range(n)] + [1 + 0j]
+            coeffs = [Fraction(rng.uniform(-3, 3)) for _ in range(n)] + [1]
             rs = find_roots(UniPoly(coeffs))
             for z in rs.roots:
                 assert any(abs(z.conjugate() - w) <= 1e-8 for w in rs.roots)
