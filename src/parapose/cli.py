@@ -224,6 +224,7 @@ def run_solve(args) -> int:
         PairLimitExceeded,
         VertexMismatchError,
         OSError,
+        OverflowError,  # an exact value beyond double range
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

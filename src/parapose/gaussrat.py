@@ -8,12 +8,16 @@ coefficient field for every symbolic computation in this package.
 Text forms: rationals print as ``p/q`` or ``p``; Gaussian rationals as
 ``p/q``, ``r/s*I`` or ``p/q+r/s*I`` and, for interchange, as JSON
 objects ``{"re": "p/q", "im": "r/s"}``.  Parsing and printing round-trip
-losslessly.  Read back, a rational (or a JSON component) may also be a
-JSON integer; any other JSON type is a ValueError.
+losslessly.
+
+:func:`exact_rational` is the package's one rule for exact scalars.  The
+constructor applies it to both components, the field operators without
+text (:func:`exact_operand`, so ``z + "1"`` is a TypeError), and
+:func:`parse_rational`, the reader of text and JSON, with every
+rejection a ValueError.
 
 The class is a hand-written immutable class with ``__slots__ = ("re",
-"im")``.  Its constructor coerces and validates both components; the
-field operators skip that and build their results with the private
+"im")``.  The field operators build their results with the private
 ``_make(re, im)``, which takes two ``Fraction`` values as they are and
 does not coerce or check them.  Products with a real (or zero) operand
 use two ``Fraction`` multiplications instead of four multiplications and
@@ -27,42 +31,56 @@ from fractions import Fraction
 
 __all__ = [
     "GaussianRational",
+    "exact_rational",
+    "exact_operand",
     "parse_rational",
     "parse_gaussian",
 ]
 
-_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-
-# accepted forms: a | b*I | a+b*I | a-b*I plus the shorthands I, -I, a+I, a-I
 _NUM = r"\d+(?:/\d+)?"
-_REAL_ONLY_RE = _re.compile(rf"[+-]?{_NUM}\Z")
+_RATIONAL_RE = _re.compile(rf"[+-]?{_NUM}\Z")
+# Gaussian forms: a | b*I | a+b*I | a-b*I plus the shorthands I, -I, a+I, a-I
 _IMAG_ONLY_RE = _re.compile(rf"(?P<sign>[+-]?)(?:(?P<mag>{_NUM})\*)?I\Z")
 _REAL_IMAG_RE = _re.compile(
     rf"(?P<re>[+-]?{_NUM})(?P<sign>[+-])(?:(?P<mag>{_NUM})\*)?I\Z"
 )
 
 
-def parse_rational(text) -> Fraction:
-    """Parse ``p/q`` or ``p``, or take a (JSON) integer as it is.
+def _malformed(value) -> ValueError:
+    return ValueError(f"malformed rational {value!r} (expected p/q, p or an integer)")
 
-    Floats, exponent forms, booleans and every other type are rejected
-    with ValueError.
+
+def exact_rational(value, *, text: bool = True) -> Fraction:
+    """The exact-scalar rule: ``value`` as a Fraction, or an error.
+
+    A Fraction is taken as it is and an int that is not a bool is
+    lifted; with ``text`` true, ``p/q`` or ``p`` (surrounding blanks
+    allowed) is parsed.  A bool, malformed text or a zero denominator is
+    a ValueError; any other type is a TypeError.
     """
-    if type(text) is int:
-        return Fraction(text)
-    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text.strip())):
-        raise ValueError(f"malformed rational {text!r} (expected p/q, p or an integer)")
-    return Fraction(text.strip())
-
-
-def _fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise _malformed(value)
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"exact component required, got {type(value).__name__}")
+    if not (text and isinstance(value, str)):
+        raise TypeError(f"exact rational required, got {type(value).__name__}")
+    stripped = value.strip()
+    if _RATIONAL_RE.fullmatch(stripped):
+        try:
+            return Fraction(stripped)
+        except ZeroDivisionError:
+            pass
+    raise _malformed(value)
+
+
+def parse_rational(text) -> Fraction:
+    """:func:`exact_rational` for text and JSON: any type it rejects is malformed."""
+    try:
+        return exact_rational(text)
+    except TypeError:
+        raise _malformed(text) from None
 
 
 _ZERO = Fraction(0)
@@ -74,8 +92,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=_ZERO, im=_ZERO):
-        _set_re(self, _fraction(re))
-        _set_im(self, _fraction(im))
+        _set_re(self, exact_rational(re))
+        _set_im(self, exact_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,16 +114,8 @@ class GaussianRational:
 
     # -- field operations -------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
     def __add__(self, other):
-        o = other if other.__class__ is GaussianRational else self._coerce(other)
+        o = other if other.__class__ is GaussianRational else exact_operand(other)
         if o is None:
             return NotImplemented
         return _make(self.re + o.re, self.im + o.im)
@@ -113,13 +123,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if other.__class__ is GaussianRational else self._coerce(other)
+        o = other if other.__class__ is GaussianRational else exact_operand(other)
         if o is None:
             return NotImplemented
         return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -131,7 +141,7 @@ class GaussianRational:
         return self
 
     def __mul__(self, other):
-        o = other if other.__class__ is GaussianRational else self._coerce(other)
+        o = other if other.__class__ is GaussianRational else exact_operand(other)
         if o is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, o.re, o.im
@@ -145,7 +155,7 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if other.__class__ is GaussianRational else self._coerce(other)
+        o = other if other.__class__ is GaussianRational else exact_operand(other)
         if o is None:
             return NotImplemented
         n = o.norm_sq()
@@ -157,7 +167,7 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -225,9 +235,15 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
     return z
 
 
-def _signed_magnitude(sign: str, mag) -> Fraction:
-    value = Fraction(mag) if mag is not None else Fraction(1)
-    return -value if sign == "-" else value
+def exact_operand(value):
+    """An operand in Q(i) by :func:`exact_rational` without text, or None
+    for a type it rejects (the operator then returns NotImplemented)."""
+    if isinstance(value, GaussianRational):
+        return value
+    try:
+        return _make(exact_rational(value, text=False), _ZERO)
+    except TypeError:
+        return None
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -235,15 +251,10 @@ def parse_gaussian(text: str) -> GaussianRational:
     s = text.strip().replace(" ", "")
     m = _REAL_IMAG_RE.fullmatch(s)
     if m:
-        return GaussianRational(
-            Fraction(m.group("re")),
-            _signed_magnitude(m.group("sign"), m.group("mag")),
-        )
-    if _REAL_ONLY_RE.fullmatch(s):
-        return GaussianRational(Fraction(s))
+        return GaussianRational(m["re"], m["sign"] + (m["mag"] or "1"))
+    if _RATIONAL_RE.fullmatch(s):
+        return GaussianRational(s)
     m = _IMAG_ONLY_RE.fullmatch(s)
     if m:
-        return GaussianRational(
-            Fraction(0), _signed_magnitude(m.group("sign"), m.group("mag"))
-        )
+        return GaussianRational(0, m["sign"] + (m["mag"] or "1"))
     raise ValueError(f"malformed Gaussian rational {text!r}")

@@ -105,14 +105,12 @@ class EliminationView(Record):
         return len(self.elements)
 
 
-def buchberger(
-    generators: Iterable[MultiPoly], *, pair_limit: int = DEFAULT_PAIR_LIMIT
-) -> GroebnerBasis:
+def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
     """Compute the unique reduced monic lex Groebner basis of <generators>.
 
     Zero generators are ignored; an all-zero input is rejected.  The
-    pair budget guards against runaway inputs and raises
-    PairLimitExceeded with progress counters when exhausted.
+    pair budget DEFAULT_PAIR_LIMIT guards against runaway inputs and
+    raises PairLimitExceeded with progress counters when exhausted.
     """
     stats = BuchbergerStats()
     polys: list = []  # every element ever installed; pairs index into it
@@ -143,8 +141,8 @@ def buchberger(
         _, i, j = pair
 
         stats.pairs_reduced += 1
-        if stats.pairs_reduced > pair_limit:
-            raise PairLimitExceeded(pair_limit, stats)
+        if stats.pairs_reduced > DEFAULT_PAIR_LIMIT:
+            raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, stats)
 
         remainder = normal_form(
             s_polynomial(polys[i], polys[j]), [polys[t] for t in active]

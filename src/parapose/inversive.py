@@ -49,8 +49,9 @@ UNIT_CIRCLE = InversionCircle(0j, 1.0)
 class UniPoly:
     """Univariate polynomial over Q(i), coefficients stored constant-term first.
 
-    Coefficients are GaussianRational; int and Fraction values are lifted,
-    any other type (float and complex included) is a TypeError.  Trailing
+    Coefficients are GaussianRational; any other value goes through the
+    constructor's exact-scalar rule (``gaussrat.exact_rational``), so a
+    float or complex is a TypeError and a bool a ValueError.  Trailing
     zero coefficients are trimmed so the leading coefficient is nonzero;
     the zero polynomial has no coefficients.
     """
@@ -58,12 +59,10 @@ class UniPoly:
     __slots__ = ("_coefficients",)
 
     def __init__(self, coefficients: Iterable):
-        out = []
-        for c in coefficients:
-            z = GaussianRational._coerce(c)
-            if z is None:
-                raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-            out.append(z)
+        out = [
+            c if isinstance(c, GaussianRational) else GaussianRational(c)
+            for c in coefficients
+        ]
         while out and not out[-1]:
             out.pop()
         object.__setattr__(self, "_coefficients", tuple(out))

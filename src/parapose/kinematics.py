@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._record import Record
-from .gaussrat import GaussianRational, parse_rational
+from .gaussrat import GaussianRational, exact_rational
 from .groebner import buchberger, elimination_basis
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
@@ -48,24 +47,17 @@ class ShapePositionError(RuntimeError):
     """The basis does not triangularise the requested extension."""
 
 
-def _positive_rational(value, name: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{name}: exact rational required, got float")
+_LENGTHS = ("l_ab", "l_ac", "s_a", "s_b", "s_c")
+
+
+def _exact(name: str, value):
+    """A field by gaussrat's exact-scalar rule, its name leading any error."""
     try:
-        q = value if isinstance(value, Fraction) else parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-    if q <= 0:
-        raise ValueError(f"{name}: lengths must be positive")
-    return q
-
-
-def _gaussian(value, name: str) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"{name}: exact Gaussian rational required")
+        if name in _LENGTHS:
+            return exact_rational(value)
+        return value if isinstance(value, GaussianRational) else GaussianRational(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 class ManipulatorProblem(Record):
@@ -80,10 +72,11 @@ class ManipulatorProblem(Record):
     __slots__ = ("l_ab", "l_ac", "d_ab", "d_ac", "cis_beta", "s_a", "s_b", "s_c")
 
     def _check(self):
-        for name in ("l_ab", "l_ac", "s_a", "s_b", "s_c"):
-            object.__setattr__(self, name, _positive_rational(getattr(self, name), name))
-        for name in ("d_ab", "d_ac", "cis_beta"):
-            object.__setattr__(self, name, _gaussian(getattr(self, name), name))
+        for name in _LENGTHS + ("d_ab", "d_ac", "cis_beta"):
+            value = _exact(name, getattr(self, name))
+            if name in _LENGTHS and value <= 0:
+                raise ValueError(f"{name}: lengths must be positive")
+            object.__setattr__(self, name, value)
         if self.cis_beta.norm_sq() != 1:
             raise ValueError("cis_beta: must be exactly unit-modulus")
         if self.d_ab.is_zero:

@@ -35,7 +35,7 @@ import re as _re
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, le, sub
 
-from .gaussrat import GaussianRational
+from .gaussrat import GaussianRational, exact_operand
 
 __all__ = [
     "N_VARS",
@@ -186,28 +186,23 @@ class MultiPoly:
     # -- ring operations -----------------------------------------------------
 
     def _combine(self, other, negate: bool) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            s = exact_operand(other)
+            if s is None:
+                return NotImplemented
+            other = MultiPoly.constant(s)
         acc = dict(self._terms)
         for mono, coeff in other._terms:
             _add_inplace(acc, mono, -coeff if negate else coeff)
         return _sorted_poly(acc.items())
 
     def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            return self._combine(other, False)
-        s = GaussianRational._coerce(other)
-        if s is None:
-            return NotImplemented
-        return self._combine(MultiPoly.constant(s), False)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            return self._combine(other, True)
-        s = GaussianRational._coerce(other)
-        if s is None:
-            return NotImplemented
-        return self._combine(MultiPoly.constant(s), True)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -222,7 +217,7 @@ class MultiPoly:
                 for m2, c2 in other._terms:
                     _add_inplace(acc, mono_mul(m1, m2), c1 * c2)
             return _sorted_poly(acc.items())
-        s = GaussianRational._coerce(other)
+        s = exact_operand(other)
         if s is None:
             return NotImplemented
         return self.term_shift(MONO_ONE, s)

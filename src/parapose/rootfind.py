@@ -95,11 +95,11 @@ def _initial_points(monic):
     ]
 
 
-def _aberth(monic, tol, max_iter):
+def _aberth(monic, tol):
     n = len(monic) - 1
     z = _initial_points(monic)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         moved = 0.0
         for k in range(n):
             p, dp = _horner_pair(monic, z[k])
@@ -200,9 +200,7 @@ def _cluster(roots):
     return out, mult
 
 
-def find_roots(
-    f: UniPoly, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> RootSet:
+def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     """All complex roots of f, polished, sorted by (re, im).
 
     The exact coefficients are rounded to doubles once; a leading
@@ -210,10 +208,10 @@ def find_roots(
 
     The residual acceptance test normalises per root by the evaluation
     scale sum |c_i| |z|^i (relative backward error); failing it, or
-    running out of iterations while residuals are still large, raises
-    ConvergenceError with the best iterates found.  tol must be positive
-    and finite: with NaN or infinity the residual test could never fail,
-    and at zero or below it could never pass.
+    running out of the DEFAULT_MAX_ITER iterations while residuals are
+    still large, raises ConvergenceError with the best iterates found.
+    tol must be positive and finite: with NaN or infinity the residual
+    test could never fail, and at zero or below it could never pass.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
@@ -226,7 +224,7 @@ def find_roots(
         raise ValueError("leading coefficient is zero in double precision")
     monic = [c / lead for c in coeffs]
 
-    roots, iterations = _aberth(monic, tol, max_iter)
+    roots, iterations = _aberth(monic, tol)
     roots = _newton_polish(monic, roots)
 
     if all(c.imag == 0.0 for c in coeffs):

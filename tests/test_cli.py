@@ -251,6 +251,25 @@ class TestSolveCommand:
         path = write_problem(tmp_path, example_body(**{"strokes.s_b": "bogus"}))
         assert main(["solve", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # exact, but its eliminant's coefficients overflow the float root stage
+            ("geometry.l_ab", "1" + "0" * 110, "exceeds double range"),
+            ("strokes.s_b", "7/0", "strokes.s_b: malformed rational"),
+        ],
+        ids=["double-overflow", "zero-denominator"],
+    )
+    def test_arithmetic_errors_are_solver_errors(self, tmp_path, capsys, field, value,
+                                                 message):
+        path = write_problem(tmp_path, example_body(**{field: value}))
+        assert main(["solve", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
     def test_stdout_report(self, tmp_path, capsys):
         assert main(["solve", "--input", str(EXAMPLE1)]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parapose import groebner
 from parapose.gaussrat import GaussianRational
 from parapose.groebner import (
     GroebnerBasis,
@@ -169,9 +170,10 @@ class TestBuchberger:
             assert buchberger(scaled).elements == basis1.elements
         assert buchberger([f * c for f in ideal1]).elements == basis1.elements
 
-    def test_pair_limit(self, ideal1):
+    def test_pair_limit(self, ideal1, monkeypatch):
+        monkeypatch.setattr(groebner, "DEFAULT_PAIR_LIMIT", 3)
         with pytest.raises(PairLimitExceeded) as info:
-            buchberger(ideal1, pair_limit=3)
+            buchberger(ideal1)
         assert info.value.stats.pairs_reduced > 3
 
     def test_random_small_systems(self):

@@ -61,7 +61,7 @@ class TestManipulatorProblem:
 
     @pytest.mark.parametrize("value", ["1.5", "1e1", True], ids=repr)
     def test_problem_file_rule_for_lengths(self, value):
-        # the rule of gaussrat.parse_rational, as in problem files
+        # the rule of gaussrat.exact_rational, as in problem files
         kwargs = dict(RIGHT_TRIANGLE_GEOMETRY, s_a=Fraction(2),
                       s_b=Fraction(7, 2), s_c=Fraction(5, 2))
         kwargs["l_ab"] = value

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from parapose import rootfind
 from parapose.gaussrat import GaussianRational
 from parapose.inversive import UniPoly
 from parapose.rootfind import ConvergenceError, eval_poly, find_roots
@@ -101,10 +102,11 @@ class TestFindRoots:
             assert len(rs.roots) == n == len(rs.residuals) == len(rs.multiplicities)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        # max_iter=0 would end in ConvergenceError: the check comes first
+    def test_tolerance_must_be_positive_and_finite(self, tol, monkeypatch):
+        # no iterations would end in ConvergenceError: the check comes first
+        monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(ValueError, match="positive and finite"):
-            find_roots(G8, tol=tol, max_iter=0)
+            find_roots(G8, tol=tol)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -160,9 +162,10 @@ class TestFindRoots:
         assert a.residuals == b.residuals
         assert a.iterations == b.iterations
 
-    def test_nonconvergence_reports_iterates(self):
+    def test_nonconvergence_reports_iterates(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(ConvergenceError) as info:
-            find_roots(G8, max_iter=0)
+            find_roots(G8)
         err = info.value
         assert len(err.best_roots) == 4
         assert len(err.residuals) == 4
