@@ -10,11 +10,9 @@ structure of the eliminants.
 
 from .gaussrat import GaussianRational, parse_gaussian, parse_rational
 from .groebner import (
-    EliminationView,
     GroebnerBasis,
     PairLimitExceeded,
     buchberger,
-    elimination_basis,
     is_groebner_basis,
 )
 from .inversive import (
@@ -35,7 +33,6 @@ from .kinematics import (
     ShapePositionError,
     SolutionReport,
     SolutionTuple,
-    back_substitute,
     build_ideal,
     filter_physical,
     residual_max,
@@ -70,10 +67,8 @@ __all__ = [
     "parse_poly",
     "s_polynomial",
     "GroebnerBasis",
-    "EliminationView",
     "PairLimitExceeded",
     "buchberger",
-    "elimination_basis",
     "is_groebner_basis",
     "InversionCircle",
     "UniPoly",
@@ -95,7 +90,6 @@ __all__ = [
     "SolutionReport",
     "ShapePositionError",
     "build_ideal",
-    "back_substitute",
     "filter_physical",
     "to_angles",
     "residual_max",

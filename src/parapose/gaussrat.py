@@ -195,7 +195,9 @@ class GaussianRational:
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
-            raise OverflowError(f"{self} exceeds double range") from None
+            bits = max(abs(x.numerator).bit_length() - x.denominator.bit_length()
+                       for x in (self.re, self.im))
+            raise OverflowError(f"value of about 2^{bits} exceeds double range") from None
 
     __complex__ = to_complex
 

@@ -20,7 +20,6 @@ from collections.abc import Iterable, Sequence
 from ._record import Record
 from .multipoly import (
     MultiPoly,
-    N_VARS,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -31,11 +30,9 @@ from .multipoly import (
 __all__ = [
     "BuchbergerStats",
     "GroebnerBasis",
-    "EliminationView",
     "PairLimitExceeded",
     "buchberger",
     "is_groebner_basis",
-    "elimination_basis",
 ]
 
 DEFAULT_PAIR_LIMIT = 100_000
@@ -85,24 +82,6 @@ class GroebnerBasis(Record):
     __slots__ = ("elements", "stats")
     _defaults = {"stats": None}
     _hidden = ("stats",)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-class EliminationView(Record):
-    """The subset G_l of a basis using only the last N_VARS - l variables."""
-
-    __slots__ = ("level", "elements")
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
@@ -235,12 +214,3 @@ def is_groebner_basis(polys: Sequence[MultiPoly]) -> bool:
                 return False
     return True
 
-
-def elimination_basis(basis: GroebnerBasis, level: int) -> EliminationView:
-    """Elements of the basis involving only the last N_VARS - level variables."""
-    if not isinstance(level, int) or not 0 <= level <= N_VARS:
-        raise ValueError(f"elimination level must be in 0..{N_VARS}, got {level}")
-    keep = tuple(
-        p for p in basis.elements if all(i >= level for i in p.support())
-    )
-    return EliminationView(level, keep)

@@ -43,9 +43,6 @@ class InversionCircle(Record):
             raise ValueError("radius must be positive and finite")
 
 
-UNIT_CIRCLE = InversionCircle(0j, 1.0)
-
-
 class UniPoly:
     """Univariate polynomial over Q(i), coefficients stored constant-term first.
 

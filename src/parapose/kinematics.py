@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .gaussrat import GaussianRational, exact_rational
-from .groebner import buchberger, elimination_basis
+from .groebner import buchberger
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
 from .rootfind import DEFAULT_TOL as DEFAULT_ROOT_TOL, find_roots
@@ -30,7 +30,6 @@ __all__ = [
     "SolutionReport",
     "ShapePositionError",
     "build_ideal",
-    "back_substitute",
     "filter_physical",
     "to_angles",
     "residual_max",
@@ -155,28 +154,6 @@ def build_ideal(problem: ManipulatorProblem) -> list:
     return [f1, f2, f3, f4, f5, f6, f7, f8]
 
 
-def _shape_tails(basis) -> list:
-    """Tails of the linear elements for CCC down to CA.
-
-    Requires the basis in shape position: for each variable above the
-    last one, exactly one element whose leading monomial is that variable.
-    """
-    elements = [g for g in basis if not g.is_zero]
-    tails = []
-    for v in range(N_VARS - 2, -1, -1):
-        unit = MultiPoly.variable(v).leading_monomial
-        matches = [g for g in elements if g.leading_monomial == unit]
-        if len(matches) != 1:
-            raise ShapePositionError(
-                f"triangular extension unavailable: variable {VAR_NAMES[v]} "
-                f"has {len(matches)} linear basis elements"
-            )
-        # every tail monomial is lex-below the variable itself, so it holds
-        # only the variables after it, whose values are found first
-        tails.append(MultiPoly._trusted(matches[0].terms[1:]))
-    return tails
-
-
 def _extend(tails, root: complex) -> SolutionTuple:
     coords = [None] * N_VARS
     coords[N_VARS - 1] = complex(root)
@@ -185,17 +162,13 @@ def _extend(tails, root: complex) -> SolutionTuple:
     return SolutionTuple(coords=tuple(coords))
 
 
-def back_substitute(basis, root: complex) -> SolutionTuple:
-    """Extend one eliminant root to all 8 coordinates of a shape-position basis."""
-    return _extend(_shape_tails(basis), root)
-
-
 def _is_physical(coords, tol: float) -> bool:
     for u_idx, bar_idx in _VAR_PAIRS:
         u = coords[u_idx]
-        if abs(coords[bar_idx] - u.conjugate()) > tol:
+        # written so that a NaN coordinate fails
+        if not abs(coords[bar_idx] - u.conjugate()) <= tol:
             return False
-        if abs(abs(u) - 1.0) > tol:
+        if not abs(abs(u) - 1.0) <= tol:
             return False
     return True
 
@@ -230,18 +203,39 @@ def residual_max(t: SolutionTuple, ideal: Sequence[MultiPoly]) -> float:
     return max(abs(f.evaluate(t.coords)) for f in ideal)
 
 
-def _read_eliminant(basis) -> UniPoly:
-    """The basis element in the last variable alone, as an exact UniPoly."""
-    elements = elimination_basis(basis, N_VARS - 1).elements
-    if len(elements) != 1:
+def _read_shape(basis) -> tuple:
+    """The eliminant and the tails of the linear elements for CCC down to CA.
+
+    A reduced lex basis in shape position is {CA + g1(CCAL), ...,
+    CCC + g7(CCAL), e(CCAL)} (Gianni & Mora 1989), so leading monomials
+    alone place its elements: sorted descending, the eliminant e is last.
+    A degree-0 eliminant (the unit ideal) has no tails.
+    """
+    *upper, last = basis.elements
+    lm = last.leading_monomial
+    if any(lm[:-1]):
         raise ShapePositionError(
-            f"expected one univariate eliminant at level {N_VARS - 1}, "
-            f"found {len(elements)}"
+            f"expected one univariate eliminant at level {N_VARS - 1}, found 0"
         )
-    coeffs = [GaussianRational(0)] * (elements[0].leading_monomial[-1] + 1)
-    for mono, c in elements[0].terms:
+    coeffs = [GaussianRational(0)] * (lm[-1] + 1)
+    for mono, c in last.terms:
         coeffs[mono[-1]] = c
-    return UniPoly(coeffs)
+    eliminant = UniPoly(coeffs)
+    if eliminant.degree == 0:
+        return eliminant, ()
+    by_lead = {g.leading_monomial: g for g in upper}
+    tails = []
+    for v in range(N_VARS - 2, -1, -1):
+        g = by_lead.get(MultiPoly.variable(v).leading_monomial)
+        if g is None:
+            raise ShapePositionError(
+                f"triangular extension unavailable: variable {VAR_NAMES[v]} "
+                "has 0 linear basis elements"
+            )
+        # every tail monomial is lex-below the variable itself, so it holds
+        # only the variables after it, whose values are found first
+        tails.append(MultiPoly._trusted(g.terms[1:]))
+    return eliminant, tails
 
 
 def solve_posture(
@@ -268,7 +262,8 @@ def solve_posture(
     t2 = time.monotonic()
     timings["groebner"] = (t2 - t1) * 1e3
 
-    eliminant = _read_eliminant(basis)
+    # a basis not in shape position fails here, before any root is found
+    eliminant, tails = _read_shape(basis)
 
     # AL*CCAL - 1 lies in the ideal, so CCAL is invertible modulo the
     # eliminant and its constant term is nonzero
@@ -288,10 +283,8 @@ def solve_posture(
 
     # a degree-0 eliminant is a nonzero constant: the variety is empty
     empty_variety = eliminant.degree == 0
-    tails, roots, iterations = (), (), 0
+    roots, iterations = (), 0
     if not empty_variety:
-        # a basis not in shape position fails before any root is found
-        tails = _shape_tails(basis)
         found = find_roots(eliminant, tol=tol_root)
         roots, iterations = found.roots, found.iterations
     t3 = time.monotonic()

@@ -167,15 +167,6 @@ class MultiPoly:
     def leading_coefficient(self) -> GaussianRational:
         return self.leading_term[1]
 
-    def support(self) -> frozenset:
-        """Indices of the variables that actually occur."""
-        used = set()
-        for mono, _ in self._terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
-        return frozenset(used)
-
     def coefficient(self, mono) -> GaussianRational:
         mono = tuple(mono)
         for m, c in self._terms:

@@ -204,7 +204,8 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     """All complex roots of f, polished, sorted by (re, im).
 
     The exact coefficients are rounded to doubles once; a leading
-    coefficient that rounds to zero is a ValueError.
+    coefficient that rounds to zero is a ValueError, and an iterate that
+    overflows double range an OverflowError.
 
     The residual acceptance test normalises per root by the evaluation
     scale sum |c_i| |z|^i (relative backward error); failing it, or
@@ -226,6 +227,10 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
 
     roots, iterations = _aberth(monic, tol)
     roots = _newton_polish(monic, roots)
+    if not all(map(cmath.isfinite, roots)):
+        raise OverflowError(
+            f"a root iterate exceeds double range at iteration {iterations}"
+        )
 
     if all(c.imag == 0.0 for c in coeffs):
         roots = _pair_conjugates(roots)
@@ -237,8 +242,9 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     multiplicities = [multiplicities[i] for i in order]
 
     residuals = [abs(_horner_pair(coeffs, z)[0]) for z in roots]
-    if any(
-        r > tol * _eval_scale(coeffs, z) for r, z in zip(residuals, roots)
+    # written so that a NaN residual fails
+    if not all(
+        r <= tol * _eval_scale(coeffs, z) for r, z in zip(residuals, roots)
     ):
         raise ConvergenceError(
             f"root residuals exceed {tol} * ||f|| after {iterations} iterations",

@@ -26,7 +26,7 @@ from parapose.inversive import (
     is_self_inversive,
     is_self_reciprocal,
 )
-from parapose.kinematics import _read_eliminant, solve_posture
+from parapose.kinematics import _read_shape, solve_posture
 from parapose.multipoly import mono_divides, normal_form, parse_poly
 from parapose.rootfind import find_roots
 
@@ -92,9 +92,9 @@ def test_criterion_2_golden_basis_example2(ideal2, golden_basis2):
 
 def test_criterion_3_eliminant_roots(basis1, basis2):
     with criterion(3, "eliminant roots match the reference values at 1e-3"):
-        roots1 = find_roots(_read_eliminant(basis1))
+        roots1 = find_roots(_read_shape(basis1)[0])
         match_roots(roots1.roots, ROOTS_EXAMPLE1, 1e-3)
-        roots2 = find_roots(_read_eliminant(basis2))
+        roots2 = find_roots(_read_shape(basis2)[0])
         match_roots(roots2.roots, ROOTS_EXAMPLE2, 1e-3)
 
 
@@ -113,8 +113,8 @@ def test_criterion_4_posture_angles(problem1, problem2):
 
 def test_criterion_5_self_reciprocity_and_harmonic_pairs(basis1, basis2):
     with criterion(5, "self-reciprocal eliminants and harmonic real roots"):
-        g8 = _read_eliminant(basis1)
-        h8 = _read_eliminant(basis2)
+        g8, _ = _read_shape(basis1)
+        h8, _ = _read_shape(basis2)
         assert is_self_reciprocal(g8)
         assert is_self_reciprocal(h8)
 

@@ -257,8 +257,12 @@ class TestSolveCommand:
             # exact, but its eliminant's coefficients overflow the float root stage
             ("geometry.l_ab", "1" + "0" * 110, "exceeds double range"),
             ("strokes.s_b", "7/0", "strokes.s_b: malformed rational"),
+            # finite coefficients, but the root iterates overflow to NaN
+            ("geometry.l_ab", "1" + "0" * 100, "double range"),
+            # a coefficient of some 1060 bits: the message names its size, not its digits
+            ("geometry.l_ab", "1" + "0" * 320, "exceeds double range"),
         ],
-        ids=["double-overflow", "zero-denominator"],
+        ids=["double-overflow", "zero-denominator", "nan-iterates", "overflow-message-size"],
     )
     def test_arithmetic_errors_are_solver_errors(self, tmp_path, capsys, field, value,
                                                  message):
@@ -269,6 +273,7 @@ class TestSolveCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+        assert len(lines[0]) < 200
 
     def test_stdout_report(self, tmp_path, capsys):
         assert main(["solve", "--input", str(EXAMPLE1)]) == 0

@@ -106,8 +106,10 @@ class TestFloatConversion:
 
     def test_overflow(self):
         huge = GaussianRational(Fraction(10) ** 400)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError) as info:
             huge.to_complex()
+        # 10^400 is about 2^1328.8: the message names the size, not the digits
+        assert str(info.value) == "value of about 2^1328 exceeds double range"
 
     @given(gaussians)
     def test_components_finite(self, z):

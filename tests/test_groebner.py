@@ -11,9 +11,9 @@ from parapose.groebner import (
     GroebnerBasis,
     PairLimitExceeded,
     buchberger,
-    elimination_basis,
     is_groebner_basis,
 )
+from parapose.kinematics import _read_shape
 from parapose.multipoly import MultiPoly, N_VARS, mono_divides, normal_form, parse_poly
 
 X, Y = MultiPoly.variable(0), MultiPoly.variable(1)
@@ -218,27 +218,21 @@ class TestGroebnerPredicate:
 
 
 class TestElimination:
+    """The shape-position reader over the golden basis: the last element is
+    the eliminant, and CCC's linear element comes just before it."""
+
     def test_deepest_level_is_eliminant(self, basis1, golden_basis1):
-        view = elimination_basis(basis1, 7)
-        assert list(view.elements) == [golden_basis1[7]]
+        eliminant, _ = _read_shape(basis1)
+        g8 = golden_basis1[7]
+        assert eliminant.degree == g8.leading_monomial[-1]
+        assert list(eliminant.coefficients) == [
+            g8.coefficient((0,) * 7 + (k,)) for k in range(eliminant.degree + 1)
+        ]
 
     def test_level_six(self, basis1, golden_basis1):
-        view = elimination_basis(basis1, 6)
-        assert list(view.elements) == [golden_basis1[6], golden_basis1[7]]
-
-    def test_level_zero_keeps_everything(self, basis1):
-        view = elimination_basis(basis1, 0)
-        assert view.elements == basis1.elements
-
-    @pytest.mark.parametrize("level", [-1, 9, 100])
-    def test_out_of_range(self, basis1, level):
-        with pytest.raises(ValueError):
-            elimination_basis(basis1, level)
-
-    def test_view_levels_nest(self, basis1):
-        sizes = [len(elimination_basis(basis1, l).elements) for l in range(9)]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[8] == 0
+        _, tails = _read_shape(basis1)
+        assert MultiPoly.variable(6) + tails[0] == golden_basis1[6]
+        assert len(tails) == N_VARS - 1
 
 
 class TestStats:

@@ -9,14 +9,14 @@ from parapose.kinematics import (
     ManipulatorProblem,
     ShapePositionError,
     SolutionTuple,
-    back_substitute,
     build_ideal,
     filter_physical,
     residual_max,
     solve_posture,
     to_angles,
 )
-from parapose.kinematics import PostureAngles, _read_eliminant
+from parapose.groebner import GroebnerBasis
+from parapose.kinematics import PostureAngles, _extend, _read_shape
 from parapose.multipoly import MultiPoly, parse_poly
 from parapose.rootfind import eval_poly, find_roots
 
@@ -117,23 +117,26 @@ class TestBuildIdeal:
 
 class TestBackSubstitute:
     def test_extends_printed_partial_solutions(self, basis1):
-        roots = find_roots(_read_eliminant(basis1)).roots
+        eliminant, tails = _read_shape(basis1)
+        roots = find_roots(eliminant).roots
         lower = next(z for z in roots if abs(z - complex(0.944, -0.329)) < 1e-2)
         upper = next(z for z in roots if abs(z - complex(0.944, 0.329)) < 1e-2)
-        t_lower = back_substitute(basis1, lower)
-        t_upper = back_substitute(basis1, upper)
+        t_lower = _extend(tails, lower)
+        t_upper = _extend(tails, upper)
         assert abs(t_lower.coords[6] - complex(-0.135, 0.991)) < 1e-3
         assert abs(t_upper.coords[6] - complex(0.451, 0.892)) < 1e-3
 
     def test_base_step_residual(self, basis1):
-        eliminant = _read_eliminant(basis1)
+        eliminant, _ = _read_shape(basis1)
         for z in find_roots(eliminant).roots:
             assert abs(eval_poly(eliminant, z)) < 1e-10
 
     def test_requires_shape_position(self, basis1):
-        broken = [g for g in basis1.elements if g.leading_monomial[0] == 0]
+        broken = GroebnerBasis(
+            tuple(g for g in basis1.elements if g.leading_monomial[0] == 0)
+        )
         with pytest.raises(ShapePositionError, match="CA"):
-            back_substitute(broken, 0.5 + 0j)
+            _read_shape(broken)
 
 
 class TestPhysicalFilter:
@@ -145,9 +148,13 @@ class TestPhysicalFilter:
         assert sum(t.physical for t in rep2.solutions) == 4
 
     def test_real_off_circle_tuple_discarded(self, basis1):
-        t = back_substitute(basis1, 1.822 + 0j)
+        t = _extend(_read_shape(basis1)[1], 1.822 + 0j)
         marked = filter_physical([t])
         assert len(marked) == 1 and not marked[0].physical
+
+    def test_nan_tuple_discarded(self):
+        t = SolutionTuple((complex("nan+nanj"),) * 8)
+        assert not filter_physical([t])[0].physical
 
     def test_tolerance_must_be_positive(self):
         for tol in (0.0, -1.0, math.nan, math.inf):
@@ -336,6 +343,29 @@ class TestSolvePosture:
         assert str(info.value) == (
             "triangular extension unavailable: variable CCC has 0 linear basis elements"
         )
+
+    def test_congruent_platform_is_shape_error(self):
+        # the platform triangle equals the base triangle: a one-parameter
+        # family of postures, so CCC leads no linear basis element
+        problem = ManipulatorProblem(
+            l_ab=6, l_ac=8, d_ab=gq(6), d_ac=gq(0, 8), cis_beta=gq(0, 1),
+            s_a=3, s_b=3, s_c=3,
+        )
+        with pytest.raises(ShapePositionError) as info:
+            solve_posture(problem)
+        assert str(info.value) == (
+            "triangular extension unavailable: variable CCC has 0 linear basis elements"
+        )
+
+    def test_collinear_design_reports_empty_variety(self):
+        problem = ManipulatorProblem(
+            l_ab=3, l_ac=6, d_ab=gq(6), d_ac=gq(12), cis_beta=gq(1),
+            s_a=2, s_b=2, s_c=2,
+        )
+        rep = solve_posture(problem)
+        assert rep.empty_variety
+        assert rep.eliminant.degree == 0
+        assert rep.solutions == () and rep.postures == ()
 
 
 def generic_problem(rng):

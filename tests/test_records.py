@@ -11,7 +11,7 @@ import pytest
 
 from parapose.cli import parse_problem
 from parapose.gaussrat import GaussianRational
-from parapose.groebner import BuchbergerStats, EliminationView, GroebnerBasis
+from parapose.groebner import BuchbergerStats, GroebnerBasis
 from parapose.inversive import InversionCircle, UniPoly
 from parapose.kinematics import (
     PostureAngles,
@@ -41,7 +41,6 @@ def frozen_records(problem):
         SolutionTuple((1j, 2.0), True, 0.5),
         PostureAngles(1.0, 2.0, 3.0, 4.0),
         GroebnerBasis((), stats=BuchbergerStats()),
-        EliminationView(7, ()),
         InversionCircle(1 + 2j, 3),
         RootSet((1j,), (0.0,), 1, (1,), 3),
     ]
@@ -83,7 +82,6 @@ class TestRepr:
                 "RootSet(roots=(1j,), residuals=(0.0,), poly_degree=1, "
                 "multiplicities=(1,), iterations=3)",
             ),
-            (EliminationView(7, ()), "EliminationView(level=7, elements=())"),
             (
                 SolutionReport(problem, GroebnerBasis(()), UniPoly([1]), True, (), ()),
                 f"SolutionReport(problem={problem_repr}, basis={basis_repr}, "
@@ -117,7 +115,7 @@ class TestEqualityAndHash:
             assert hash(record) == hash(copy.copy(record))
 
     def test_equality_needs_same_class(self):
-        assert EliminationView(7, ()) != (7, ())
+        assert GroebnerBasis(()) != ((),)
         assert SolutionTuple(()) != PostureAngles(1.0, 2.0, 3.0, 4.0)
 
 

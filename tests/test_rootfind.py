@@ -117,6 +117,17 @@ class TestFindRoots:
         with pytest.raises(ValueError, match="leading coefficient"):
             find_roots(UniPoly([gq(1), gq(2), gq(Fraction(1, 10**400))]))
 
+    def test_iterates_beyond_double_range_rejected(self):
+        # z^2 + 10^300: the first iterate's square overflows, and the
+        # iterates become NaN, which no residual comparison would reject
+        with pytest.raises(OverflowError, match="double range"):
+            find_roots(UniPoly([gq(10**300), gq(0), gq(1)]))
+
+    def test_nan_residual_scale_fails_acceptance(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "_eval_scale", lambda coeffs, z: float("nan"))
+        with pytest.raises(ConvergenceError):
+            find_roots(G8)
+
     def test_reconstruction_oracle(self):
         rng = random.Random(20260809)
         for _ in range(30):
