@@ -43,16 +43,23 @@ from .multipoly import (
     MultiPoly,
     N_VARS,
     VAR_NAMES,
-    PolyParseError,
     multi_divide,
     normal_form,
-    parse_poly,
     s_polynomial,
 )
 from .rootfind import ConvergenceError, RootSet, eval_poly, find_roots
 from .svgdraw import VertexMismatchError, render_posture
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the polynomial text grammar loads on first use, not with the package
+    if name in ("parse_poly", "PolyParseError"):
+        from . import polytext
+
+        return getattr(polytext, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "GaussianRational",

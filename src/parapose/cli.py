@@ -22,11 +22,11 @@ Exit codes: 0 success, 1 usage error, 2 solver or input error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .gaussrat import GaussianRational, parse_rational
 from .groebner import PairLimitExceeded, buchberger
@@ -38,7 +38,7 @@ from .kinematics import (
     SolutionReport,
     solve_posture,
 )
-from .multipoly import PolyParseError, VAR_NAMES, parse_poly
+from .multipoly import VAR_NAMES
 from .rootfind import ConvergenceError
 from .svgdraw import VertexMismatchError, render_posture
 
@@ -49,7 +49,6 @@ __all__ = [
     "report_to_json",
     "run_solve",
     "run_gb",
-    "build_parser",
     "main",
 ]
 
@@ -234,6 +233,8 @@ def run_solve(args) -> int:
 
 def run_gb(args) -> int:
     """Read one polynomial per line, print the reduced monic lex basis."""
+    from .polytext import PolyParseError, parse_poly
+
     try:
         text = _read_text(args.input)
     except ProblemFileError as exc:
@@ -262,48 +263,128 @@ def run_gb(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this front end uses 1."""
+_USAGE = "usage: parapose [-h] {solve,gb} ..."
+_HELP = f"""{_USAGE}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
+Exact forward-position solver for planar 3RPR manipulators.
+
+commands:
+  solve       solve a problem file
+  gb          print the reduced basis of a generator file
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+_SOLVE_USAGE = """\
+usage: parapose solve [-h] --input INPUT [--output OUTPUT] [--svg-dir SVG_DIR]
+                      [--tol-root TOL_ROOT] [--tol-physical TOL_PHYSICAL]
+                      [--emit-basis]"""
+_SOLVE_HELP = f"""{_SOLVE_USAGE}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         problem JSON file
+  --output OUTPUT       report JSON path (default: stdout)
+  --svg-dir SVG_DIR     directory for posture_<k>.svg files
+  --tol-root TOL_ROOT   root-residual tolerance (default {DEFAULT_ROOT_TOL:g})
+  --tol-physical TOL_PHYSICAL
+                        unit-circle / conjugacy tolerance (default {DEFAULT_PHYSICAL_TOL:g})
+  --emit-basis          include the Groebner basis in the report
+"""
+
+_GB_USAGE = "usage: parapose gb [-h] --input INPUT"
+_GB_HELP = f"""{_GB_USAGE}
+
+options:
+  -h, --help     show this help message and exit
+  --input INPUT  text file, one polynomial per line
+"""
+
+# command -> (runner, usage, help, {flag: (reader, default)}); a flag whose
+# reader is None is a switch and takes no value; every command needs --input
+_COMMANDS = {
+    "solve": (run_solve, _SOLVE_USAGE, _SOLVE_HELP, {
+        "--input": (str, None),
+        "--output": (str, None),
+        "--svg-dir": (str, None),
+        "--tol-root": (float, DEFAULT_ROOT_TOL),
+        "--tol-physical": (float, DEFAULT_PHYSICAL_TOL),
+        "--emit-basis": (None, False),
+    }),
+    "gb": (run_gb, _GB_USAGE, _GB_HELP, {
+        "--input": (str, None),
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="parapose",
-        description="Exact forward-position solver for planar 3RPR manipulators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    pass
 
-    solve = sub.add_parser("solve", help="solve a problem file")
-    solve.add_argument("--input", required=True, help="problem JSON file")
-    solve.add_argument("--output", help="report JSON path (default: stdout)")
-    solve.add_argument("--svg-dir", help="directory for posture_<k>.svg files")
-    solve.add_argument("--tol-root", type=float, default=DEFAULT_ROOT_TOL,
-                       help="root-residual tolerance (default %(default)g)")
-    solve.add_argument("--tol-physical", type=float, default=DEFAULT_PHYSICAL_TOL,
-                       help="unit-circle / conjugacy tolerance (default %(default)g)")
-    solve.add_argument("--emit-basis", action="store_true",
-                       help="include the Groebner basis in the report")
-    solve.set_defaults(func=run_solve)
 
-    gb = sub.add_parser("gb", help="print the reduced basis of a generator file")
-    gb.add_argument("--input", required=True,
-                    help="text file, one polynomial per line")
-    gb.set_defaults(func=run_gb)
+def _is_value(token: str) -> bool:
+    """A token after a flag is its value unless it looks like another flag."""
+    if token == "-" or not token.startswith("-"):
+        return True
+    try:
+        float(token)  # a negative number
+    except ValueError:
+        return False
+    return True
 
-    return parser
+
+def _parse_flags(flags: dict, tokens: list):
+    """Flag values by name (dashes to underscores), or None after -h/--help."""
+    values = {flag: default for flag, (_, default) in flags.items()}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            if token.startswith("-"):
+                raise _UsageError(f"unknown flag {flag}")
+            raise _UsageError(f"unexpected argument {token!r}")
+        read = flags[flag][0]
+        if read is None:
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    raise _UsageError(f"{flag} expects a value")
+            try:
+                value = read(value)
+            except ValueError:
+                raise _UsageError(f"{flag}: invalid value {value!r}") from None
+        values[flag] = value
+    if values["--input"] is None:
+        raise _UsageError("--input is required")
+    return {flag[2:].replace("-", "_"): value for flag, value in values.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; exit code 0 success or help, 1 usage, 2 solver or input error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] in (["-h"], ["--help"]):
+        sys.stdout.write(_HELP)
+        return 0
+    if not argv or argv[0] not in _COMMANDS:
+        message = f"unknown command {argv[0]!r}" if argv else "a command is required"
+        print(_USAGE, f"parapose: error: {message}", sep="\n", file=sys.stderr)
+        return 1
+    run, usage, text, flags = _COMMANDS[argv[0]]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return args.func(args)
+        values = _parse_flags(flags, argv[1:])
+    except _UsageError as exc:
+        print(usage, f"parapose {argv[0]}: error: {exc}", sep="\n", file=sys.stderr)
+        return 1
+    if values is None:
+        sys.stdout.write(text)
+        return 0
+    return run(SimpleNamespace(**values))
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-import cmath
 import math
+
 from ._record import Record
 from .gaussrat import GaussianRational
 from .inversive import UniPoly
@@ -19,6 +19,7 @@ __all__ = ["RootSet", "ConvergenceError", "eval_poly", "find_roots"]
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 NEWTON_POLISH_STEPS = 3
+# relative: roots closer than this times the larger modulus are merged
 CLUSTER_RADIUS = 1e-7
 
 # rotation applied to the symmetric starting configuration; breaks the
@@ -89,10 +90,9 @@ def _cauchy_radius(monic):
 def _initial_points(monic):
     n = len(monic) - 1
     radius = _cauchy_radius(monic)
-    return [
-        radius * cmath.exp(1j * (2.0 * math.pi * k / n + _INITIAL_PHASE))
-        for k in range(n)
-    ]
+    angles = [2.0 * math.pi * k / n + _INITIAL_PHASE for k in range(n)]
+    # the same bits as cmath.exp(1j * t), without importing cmath
+    return [radius * complex(math.cos(t), math.sin(t)) for t in angles]
 
 
 def _aberth(monic, tol):
@@ -100,7 +100,9 @@ def _aberth(monic, tol):
     z = _initial_points(monic)
     iterations = 0
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        moved = 0.0
+        # each root stops on its own step, relative to its own modulus, so
+        # roots far smaller than the largest converge too
+        settled = True
         for k in range(n):
             p, dp = _horner_pair(monic, z[k])
             if p == 0:
@@ -108,7 +110,7 @@ def _aberth(monic, tol):
             if dp == 0:
                 # deterministic nudge off a stationary point
                 z[k] *= 1.0 + 1e-6
-                moved = math.inf
+                settled = False
                 continue
             w = p / dp
             s = 0j
@@ -121,8 +123,9 @@ def _aberth(monic, tol):
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
             z[k] -= step
-            moved = max(moved, abs(step))
-        if moved <= 1e-15 * max(1.0, max(abs(v) for v in z)):
+            if abs(step) > 1e-15 * abs(z[k]):
+                settled = False
+        if settled:
             break
         if all(
             abs(_horner_pair(monic, v)[0]) <= tol * _eval_scale(monic, v) for v in z
@@ -171,7 +174,8 @@ def _pair_conjugates(roots):
 
 
 def _cluster(roots):
-    """Merge clusters tighter than CLUSTER_RADIUS into repeated roots."""
+    """Merge roots within CLUSTER_RADIUS times the larger modulus of the
+    pair into repeated roots."""
     n = len(roots)
     group = list(range(n))
 
@@ -183,7 +187,8 @@ def _cluster(roots):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= CLUSTER_RADIUS:
+            scale = max(abs(roots[i]), abs(roots[j]))
+            if abs(roots[i] - roots[j]) <= CLUSTER_RADIUS * scale:
                 group[find(i)] = find(j)
 
     members: dict = {}
@@ -227,7 +232,7 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
 
     roots, iterations = _aberth(monic, tol)
     roots = _newton_polish(monic, roots)
-    if not all(map(cmath.isfinite, roots)):
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots):
         raise OverflowError(
             f"a root iterate exceeds double range at iteration {iterations}"
         )

@@ -1,5 +1,6 @@
 import datetime
 import json
+import math
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -461,3 +462,75 @@ class TestHelp:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag", [("solve", "--tol-root"), ("gb", "--input")])
+    @pytest.mark.parametrize("option", ["-h", "--help"])
+    def test_command_help_exits_zero(self, capsys, command, flag, option):
+        assert main([command, option]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: parapose {command}")
+        assert flag in captured.out
+        assert captured.err == ""
+
+
+class TestFlags:
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_value_forms(self, tmp_path, form):
+        out = tmp_path / "r.json"
+        flags = {"--input": str(EXAMPLE1), "--output": str(out), "--tol-physical": "10"}
+        if form == "separate":
+            argv = [part for item in flags.items() for part in item]
+        else:
+            argv = [f"{flag}={value}" for flag, value in flags.items()]
+        assert main(["solve", *argv]) == 0
+        # a huge tolerance accepts the off-circle real pair as well
+        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == 4
+
+    @pytest.mark.parametrize("values, count", [(["1e-6", "10"], 4), (["10", "1e-6"], 2)])
+    def test_repeated_flag_last_wins(self, tmp_path, values, count):
+        out = tmp_path / "r.json"
+        argv = ["solve", "--input", str(EXAMPLE1), "--output", str(out)]
+        for value in values:
+            argv += ["--tol-physical", value]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == count
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["solve"],
+            ["solve", "--input"],
+            ["solve", "--input", "--emit-basis"],
+            ["solve", "--input", "p.json", "--bogus"],
+            ["solve", "--input", "p.json", "--emit-basis=x"],
+            ["solve", "--input", "p.json", "--tol-root", "abc"],
+            ["solve", "--input", "p.json", "--tol-physical="],
+            ["solve", "--input", "p.json", "stray"],
+            # prefixes of a flag are not accepted
+            ["solve", "--inp", "p.json"],
+            ["gb", "--input", "g.txt", "--output", "o.txt"],
+        ],
+        ids=["no-command", "no-input", "missing-value", "flag-as-value", "unknown-flag",
+             "switch-with-value", "non-float", "empty-float", "positional", "prefix",
+             "gb-unknown-flag"],
+    )
+    def test_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: parapose")
+        assert lines[-1].startswith("parapose") and ": error: " in lines[-1]
+
+    def test_nan_tolerance_reaches_solve_posture(self, monkeypatch, capsys):
+        seen = []
+
+        def recording(problem, **kwargs):
+            seen.append(kwargs["tol_root"])
+            return solve_posture(problem, **kwargs)
+
+        monkeypatch.setattr("parapose.cli.solve_posture", recording)
+        assert main(["solve", "--input", str(EXAMPLE1), "--tol-root", "nan"]) == 2
+        assert len(seen) == 1 and math.isnan(seen[0])
+        assert "positive and finite" in capsys.readouterr().err

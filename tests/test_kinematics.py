@@ -250,6 +250,21 @@ class TestSolvePosture:
         roots = find_roots(rep.eliminant).roots
         assert all(abs(abs(z) - 1.0) > 1e-3 for z in roots)
 
+    @pytest.mark.parametrize("l_ab", [10**8, 10**15])
+    def test_badly_scaled_eliminant(self, l_ab):
+        # the eliminant's roots span 22 to 29 orders of magnitude, with a
+        # pair at about 6 and 10 times 1/l_ab: each root must converge on
+        # its own scale and stay apart from its near neighbour
+        geometry = dict(RIGHT_TRIANGLE_GEOMETRY, l_ab=Fraction(l_ab))
+        problem = ManipulatorProblem(
+            **geometry, s_a=Fraction(2), s_b=Fraction(7, 2), s_c=Fraction(5, 2)
+        )
+        rep = solve_posture(problem)
+        rs = find_roots(rep.eliminant)
+        assert rs.multiplicities == (1,) * 6
+        assert len(rep.solutions) == 6
+        assert min(abs(z) for z in rs.roots) < 10 / l_ab
+
     def test_conjugate_swap_closure(self, problem1, problem2):
         for problem in (problem1, problem2):
             rep = solve_posture(problem)

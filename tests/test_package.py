@@ -35,5 +35,20 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert "parapose.cli" in added
     assert not added & {
         "dataclasses", "inspect", "xml.etree.ElementTree", "datetime", "typing",
-        "pathlib",
+        "pathlib", "argparse", "gettext", "locale", "cmath", "parapose.polytext",
     }
+
+
+def test_text_grammar_resolves_from_package_and_multipoly():
+    import parapose.multipoly
+    import parapose.polytext
+
+    for module in (parapose, parapose.multipoly):
+        assert module.parse_poly is parapose.polytext.parse_poly
+        assert module.PolyParseError is parapose.polytext.PolyParseError
+    from parapose.multipoly import PolyParseError, parse_poly
+
+    assert issubclass(PolyParseError, ValueError)
+    assert parse_poly("CA - 1").to_text() == "CA - 1"
+    assert not hasattr(parapose.multipoly, "no_such_name")
+    assert not hasattr(parapose, "no_such_name")

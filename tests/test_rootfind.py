@@ -166,6 +166,16 @@ class TestFindRoots:
         assert double[0] == double[1]
         assert double[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_close_small_roots_stay_distinct(self):
+        # 6e-8 and 1e-7 lie within 1e-7 of each other, but far apart for
+        # their size: the cluster radius is relative to the larger modulus
+        a, b = Fraction(6, 10**8), Fraction(1, 10**7)
+        f = UniPoly([gq(-a * b), gq(a * b + a + b), gq(-(a + b + 1)), gq(1)])
+        rs = find_roots(f)
+        assert rs.multiplicities == (1, 1, 1)
+        for z, want in zip(rs.roots, (6e-8, 1e-7, 1.0)):
+            assert abs(z - want) <= 1e-12 * want
+
     def test_determinism(self):
         a = find_roots(H8)
         b = find_roots(H8)
