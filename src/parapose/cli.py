@@ -31,8 +31,6 @@ from types import SimpleNamespace
 from .gaussrat import GaussianRational, parse_rational
 from .groebner import PairLimitExceeded, buchberger
 from .kinematics import (
-    DEFAULT_PHYSICAL_TOL,
-    DEFAULT_ROOT_TOL,
     ManipulatorProblem,
     ShapePositionError,
     SolutionReport,
@@ -192,11 +190,7 @@ def run_solve(args) -> int:
     """Solve one problem file; write the report and optional SVG set."""
     try:
         problem = parse_problem(args.input)
-        report = solve_posture(
-            problem,
-            tol_root=args.tol_root,
-            tol_physical=args.tol_physical,
-        )
+        report = solve_posture(problem)
         doc = report_to_json(report, emit_basis=args.emit_basis)
         payload = json.dumps(doc, indent=2) + "\n"
 
@@ -278,7 +272,6 @@ options:
 
 _SOLVE_USAGE = """\
 usage: parapose solve [-h] --input INPUT [--output OUTPUT] [--svg-dir SVG_DIR]
-                      [--tol-root TOL_ROOT] [--tol-physical TOL_PHYSICAL]
                       [--emit-basis]"""
 _SOLVE_HELP = f"""{_SOLVE_USAGE}
 
@@ -287,9 +280,6 @@ options:
   --input INPUT         problem JSON file
   --output OUTPUT       report JSON path (default: stdout)
   --svg-dir SVG_DIR     directory for posture_<k>.svg files
-  --tol-root TOL_ROOT   root-residual tolerance (default {DEFAULT_ROOT_TOL:g})
-  --tol-physical TOL_PHYSICAL
-                        unit-circle / conjugacy tolerance (default {DEFAULT_PHYSICAL_TOL:g})
   --emit-basis          include the Groebner basis in the report
 """
 
@@ -301,19 +291,18 @@ options:
   --input INPUT  text file, one polynomial per line
 """
 
-# command -> (runner, usage, help, {flag: (reader, default)}); a flag whose
-# reader is None is a switch and takes no value; every command needs --input
+# command -> (runner, usage, help, {flag: default}); a flag whose default
+# is False is a switch and takes no value, any other takes a string;
+# every command needs --input
 _COMMANDS = {
     "solve": (run_solve, _SOLVE_USAGE, _SOLVE_HELP, {
-        "--input": (str, None),
-        "--output": (str, None),
-        "--svg-dir": (str, None),
-        "--tol-root": (float, DEFAULT_ROOT_TOL),
-        "--tol-physical": (float, DEFAULT_PHYSICAL_TOL),
-        "--emit-basis": (None, False),
+        "--input": None,
+        "--output": None,
+        "--svg-dir": None,
+        "--emit-basis": False,
     }),
     "gb": (run_gb, _GB_USAGE, _GB_HELP, {
-        "--input": (str, None),
+        "--input": None,
     }),
 }
 
@@ -322,20 +311,9 @@ class _UsageError(Exception):
     pass
 
 
-def _is_value(token: str) -> bool:
-    """A token after a flag is its value unless it looks like another flag."""
-    if token == "-" or not token.startswith("-"):
-        return True
-    try:
-        float(token)  # a negative number
-    except ValueError:
-        return False
-    return True
-
-
 def _parse_flags(flags: dict, tokens: list):
     """Flag values by name (dashes to underscores), or None after -h/--help."""
-    values = {flag: default for flag, (_, default) in flags.items()}
+    values = dict(flags)
     tokens = iter(tokens)
     for token in tokens:
         if token in ("-h", "--help"):
@@ -345,20 +323,15 @@ def _parse_flags(flags: dict, tokens: list):
             if token.startswith("-"):
                 raise _UsageError(f"unknown flag {flag}")
             raise _UsageError(f"unexpected argument {token!r}")
-        read = flags[flag][0]
-        if read is None:
+        if flags[flag] is False:
             if eq:
                 raise _UsageError(f"{flag} takes no value")
             value = True
-        else:
-            if not eq:
-                value = next(tokens, None)
-                if value is None or not _is_value(value):
-                    raise _UsageError(f"{flag} expects a value")
-            try:
-                value = read(value)
-            except ValueError:
-                raise _UsageError(f"{flag}: invalid value {value!r}") from None
+        elif not eq:
+            # a next argument that looks like a flag is not a value; "-" is
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                raise _UsageError(f"{flag} expects a value")
         values[flag] = value
     if values["--input"] is None:
         raise _UsageError("--input is required")

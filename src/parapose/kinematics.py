@@ -21,7 +21,7 @@ from .gaussrat import GaussianRational, exact_rational
 from .groebner import buchberger
 from .inversive import UniPoly, is_self_reciprocal
 from .multipoly import MultiPoly, N_VARS, VAR_NAMES
-from .rootfind import DEFAULT_TOL as DEFAULT_ROOT_TOL, find_roots
+from .rootfind import find_roots
 
 __all__ = [
     "ManipulatorProblem",
@@ -162,26 +162,20 @@ def _extend(tails, root: complex) -> SolutionTuple:
     return SolutionTuple(coords=tuple(coords))
 
 
-def _is_physical(coords, tol: float) -> bool:
+def _is_physical(coords) -> bool:
     for u_idx, bar_idx in _VAR_PAIRS:
         u = coords[u_idx]
         # written so that a NaN coordinate fails
-        if not abs(coords[bar_idx] - u.conjugate()) <= tol:
+        if not abs(coords[bar_idx] - u.conjugate()) <= DEFAULT_PHYSICAL_TOL:
             return False
-        if not abs(abs(u) - 1.0) <= tol:
+        if not abs(abs(u) - 1.0) <= DEFAULT_PHYSICAL_TOL:
             return False
     return True
 
 
-def _require_tolerance(tol: float, what: str) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{what} tolerance must be positive and finite, got {tol!r}")
-
-
-def filter_physical(tuples: Iterable[SolutionTuple], tol: float = DEFAULT_PHYSICAL_TOL):
-    """Mark tuples physical/discarded; nothing is dropped."""
-    _require_tolerance(tol, "physical")
-    return [t.replace(physical=_is_physical(t.coords, tol)) for t in tuples]
+def filter_physical(tuples: Iterable[SolutionTuple]):
+    """Mark tuples physical/discarded, to DEFAULT_PHYSICAL_TOL; nothing is dropped."""
+    return [t.replace(physical=_is_physical(t.coords)) for t in tuples]
 
 
 def to_angles(t: SolutionTuple) -> PostureAngles:
@@ -238,20 +232,13 @@ def _read_shape(basis) -> tuple:
     return eliminant, tails
 
 
-def solve_posture(
-    problem: ManipulatorProblem,
-    *,
-    tol_root: float = DEFAULT_ROOT_TOL,
-    tol_physical: float = DEFAULT_PHYSICAL_TOL,
-) -> SolutionReport:
+def solve_posture(problem: ManipulatorProblem) -> SolutionReport:
     """Run the full pipeline: ideal, basis, eliminant, roots, postures.
 
-    Both tolerances must be positive and finite; they are checked before
-    any work is done.  The pair and root-iteration budgets are those of
-    ``buchberger`` and ``find_roots``.
+    The budgets and tolerances are module constants: the pair budget of
+    ``buchberger``, the iteration budget and residual tolerance of
+    ``find_roots``, and ``DEFAULT_PHYSICAL_TOL`` of ``filter_physical``.
     """
-    _require_tolerance(tol_root, "root")
-    _require_tolerance(tol_physical, "physical")
     timings: dict = {}
     t0 = time.monotonic()
     ideal = build_ideal(problem)
@@ -285,13 +272,13 @@ def solve_posture(
     empty_variety = eliminant.degree == 0
     roots, iterations = (), 0
     if not empty_variety:
-        found = find_roots(eliminant, tol=tol_root)
+        found = find_roots(eliminant)
         roots, iterations = found.roots, found.iterations
     t3 = time.monotonic()
     timings["rootfind"] = (t3 - t2) * 1e3
 
     tuples = [_extend(tails, r) for r in roots]
-    tuples = filter_physical(tuples, tol_physical)
+    tuples = filter_physical(tuples)
     tuples = [t.replace(residual_max=residual_max(t, ideal)) for t in tuples]
     postures = tuple(to_angles(t) for t in tuples if t.physical)
     timings["back_substitute"] = (time.monotonic() - t3) * 1e3

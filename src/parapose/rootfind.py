@@ -40,11 +40,7 @@ class ConvergenceError(RuntimeError):
 class RootSet(Record):
     """Roots with multiplicity, their residuals, and iteration metadata."""
 
-    __slots__ = ("roots", "residuals", "poly_degree", "multiplicities", "iterations")
-
-    @property
-    def has_repeated_roots(self) -> bool:
-        return any(m > 1 for m in self.multiplicities)
+    __slots__ = ("roots", "residuals", "multiplicities", "iterations")
 
 
 def eval_poly(f: UniPoly, z):
@@ -54,11 +50,7 @@ def eval_poly(f: UniPoly, z):
         for c in reversed(f.coefficients):
             acc = acc * z + c
         return acc
-    acc = 0j
-    zz = complex(z)
-    for c in reversed(f.coefficients):
-        acc = acc * zz + c.to_complex()
-    return acc
+    return _horner_pair([c.to_complex() for c in f.coefficients], complex(z))[0]
 
 
 def _horner_pair(coeffs, z):
@@ -95,7 +87,7 @@ def _initial_points(monic):
     return [radius * complex(math.cos(t), math.sin(t)) for t in angles]
 
 
-def _aberth(monic, tol):
+def _aberth(monic):
     n = len(monic) - 1
     z = _initial_points(monic)
     iterations = 0
@@ -128,7 +120,8 @@ def _aberth(monic, tol):
         if settled:
             break
         if all(
-            abs(_horner_pair(monic, v)[0]) <= tol * _eval_scale(monic, v) for v in z
+            abs(_horner_pair(monic, v)[0]) <= DEFAULT_TOL * _eval_scale(monic, v)
+            for v in z
         ):
             break
     return z, iterations
@@ -205,33 +198,36 @@ def _cluster(roots):
     return out, mult
 
 
-def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
+def find_roots(f: UniPoly) -> RootSet:
     """All complex roots of f, polished, sorted by (re, im).
 
-    The exact coefficients are rounded to doubles once; a leading
-    coefficient that rounds to zero is a ValueError, and an iterate that
-    overflows double range an OverflowError.
+    A root at 0 of multiplicity k is read from the exact coefficients
+    (the k lowest are zero) and divided out; the rest are rounded to
+    doubles once, a leading coefficient that rounds to zero being a
+    ValueError and an iterate that overflows double range an
+    OverflowError.
 
     The residual acceptance test normalises per root by the evaluation
-    scale sum |c_i| |z|^i (relative backward error); failing it, or
-    running out of the DEFAULT_MAX_ITER iterations while residuals are
-    still large, raises ConvergenceError with the best iterates found.
-    tol must be positive and finite: with NaN or infinity the residual
-    test could never fail, and at zero or below it could never pass.
+    scale sum |c_i| |z|^i (relative backward error) with the fixed
+    DEFAULT_TOL; failing it, or running out of the DEFAULT_MAX_ITER
+    iterations while residuals are still large, raises ConvergenceError
+    with the best iterates found.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
-    coeffs = [c.to_complex() for c in f.coefficients]
-    if len(coeffs) < 2:
+    if f.degree < 1:
         raise ValueError("degree must be at least 1")
-    n = len(coeffs) - 1
+    zeros = 0
+    while f.coefficients[zeros].is_zero:
+        zeros += 1
+    coeffs = [c.to_complex() for c in f.coefficients]
     lead = coeffs[-1]
     if lead == 0:
         raise ValueError("leading coefficient is zero in double precision")
-    monic = [c / lead for c in coeffs]
+    monic = [c / lead for c in coeffs[zeros:]]
 
-    roots, iterations = _aberth(monic, tol)
-    roots = _newton_polish(monic, roots)
+    roots, iterations = [], 0
+    if len(monic) > 1:
+        roots, iterations = _aberth(monic)
+        roots = _newton_polish(monic, roots)
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots):
         raise OverflowError(
             f"a root iterate exceeds double range at iteration {iterations}"
@@ -240,19 +236,20 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     if all(c.imag == 0.0 for c in coeffs):
         roots = _pair_conjugates(roots)
 
-    roots, multiplicities = _cluster(roots)
+    # zeros stay apart from every nonzero root under the relative radius
+    roots, multiplicities = _cluster(roots + [0j] * zeros)
 
-    order = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
+    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     multiplicities = [multiplicities[i] for i in order]
 
     residuals = [abs(_horner_pair(coeffs, z)[0]) for z in roots]
     # written so that a NaN residual fails
     if not all(
-        r <= tol * _eval_scale(coeffs, z) for r, z in zip(residuals, roots)
+        r <= DEFAULT_TOL * _eval_scale(coeffs, z) for r, z in zip(residuals, roots)
     ):
         raise ConvergenceError(
-            f"root residuals exceed {tol} * ||f|| after {iterations} iterations",
+            f"root residuals exceed {DEFAULT_TOL} * ||f|| after {iterations} iterations",
             roots,
             residuals,
             iterations,
@@ -261,7 +258,6 @@ def find_roots(f: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     return RootSet(
         roots=tuple(roots),
         residuals=tuple(residuals),
-        poly_degree=n,
         multiplicities=tuple(multiplicities),
         iterations=iterations,
     )

@@ -1,6 +1,5 @@
 import datetime
 import json
-import math
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -281,47 +280,18 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["diagnostics"]["physical_count"] == 2
 
-    def test_physical_tolerance_flag(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol-root", "1e-30"), ("--tol-physical", "10")]
+    )
+    def test_tolerance_flags_are_unknown(self, tmp_path, capsys, flag, value):
         out = tmp_path / "r.json"
-        code = main(
-            [
-                "solve",
-                "--input", str(EXAMPLE1),
-                "--output", str(out),
-                "--tol-physical", "10",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        # a huge tolerance accepts the off-circle real pair as well
-        assert doc["diagnostics"]["physical_count"] == 4
-
-    def test_root_tolerance_flag(self, tmp_path):
-        code = main(
-            ["solve", "--input", str(EXAMPLE1), "--tol-root", "1e-30",
-             "--output", str(tmp_path / "r.json")]
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_root_tolerance_must_be_positive_and_finite(self, capsys, value):
-        assert main(["solve", "--input", str(EXAMPLE1), "--tol-root", value]) == 2
+        argv = ["solve", "--input", str(EXAMPLE1), "--output", str(out), flag, value]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert "positive and finite" in lines[0]
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_physical_tolerance_must_be_positive_and_finite(self, capsys, value):
-        assert main(["solve", "--input", str(EXAMPLE1), "--tol-physical", value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert "positive and finite" in lines[0]
+        assert captured.err.startswith("usage: parapose solve")
+        assert f"unknown flag {flag}" in captured.err
+        assert not out.exists()
 
 
 class TestTimestamp:
@@ -463,7 +433,7 @@ class TestHelp:
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command, flag", [("solve", "--tol-root"), ("gb", "--input")])
+    @pytest.mark.parametrize("command, flag", [("solve", "--svg-dir"), ("gb", "--input")])
     @pytest.mark.parametrize("option", ["-h", "--help"])
     def test_command_help_exits_zero(self, capsys, command, flag, option):
         assert main([command, option]) == 0
@@ -477,23 +447,36 @@ class TestFlags:
     @pytest.mark.parametrize("form", ["separate", "equals"])
     def test_value_forms(self, tmp_path, form):
         out = tmp_path / "r.json"
-        flags = {"--input": str(EXAMPLE1), "--output": str(out), "--tol-physical": "10"}
+        svg_dir = tmp_path / "svg"
+        flags = {
+            "--input": str(EXAMPLE1),
+            "--output": str(out),
+            "--svg-dir": str(svg_dir),
+        }
         if form == "separate":
             argv = [part for item in flags.items() for part in item]
         else:
             argv = [f"{flag}={value}" for flag, value in flags.items()]
         assert main(["solve", *argv]) == 0
-        # a huge tolerance accepts the off-circle real pair as well
-        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == 4
+        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == 2
+        assert sorted(p.name for p in svg_dir.iterdir()) == [
+            "posture_1.svg",
+            "posture_2.svg",
+        ]
 
-    @pytest.mark.parametrize("values, count", [(["1e-6", "10"], 4), (["10", "1e-6"], 2)])
-    def test_repeated_flag_last_wins(self, tmp_path, values, count):
-        out = tmp_path / "r.json"
-        argv = ["solve", "--input", str(EXAMPLE1), "--output", str(out)]
-        for value in values:
-            argv += ["--tol-physical", value]
+    @pytest.mark.parametrize("flag", ["--output", "--svg-dir"])
+    def test_repeated_flag_last_wins(self, tmp_path, capsys, flag):
+        first, last = tmp_path / "first", tmp_path / "last"
+        argv = ["solve", "--input", str(EXAMPLE1), flag, str(first), flag, str(last)]
         assert main(argv) == 0
-        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == count
+        assert last.exists() and not first.exists()
+
+    def test_dash_value_needs_equals(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--input", str(EXAMPLE1), "--output", "-r.json"]) == 1
+        assert main(["solve", "--input", str(EXAMPLE1), "--output=-r.json"]) == 0
+        doc = json.loads((tmp_path / "-r.json").read_text())
+        assert doc["diagnostics"]["physical_count"] == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -504,15 +487,15 @@ class TestFlags:
             ["solve", "--input", "--emit-basis"],
             ["solve", "--input", "p.json", "--bogus"],
             ["solve", "--input", "p.json", "--emit-basis=x"],
-            ["solve", "--input", "p.json", "--tol-root", "abc"],
-            ["solve", "--input", "p.json", "--tol-physical="],
+            # a next argument starting with "-" is not a value, a number included
+            ["solve", "--input", "p.json", "--output", "-1"],
             ["solve", "--input", "p.json", "stray"],
             # prefixes of a flag are not accepted
             ["solve", "--inp", "p.json"],
             ["gb", "--input", "g.txt", "--output", "o.txt"],
         ],
         ids=["no-command", "no-input", "missing-value", "flag-as-value", "unknown-flag",
-             "switch-with-value", "non-float", "empty-float", "positional", "prefix",
+             "switch-with-value", "negative-as-value", "positional", "prefix",
              "gb-unknown-flag"],
     )
     def test_usage_errors(self, capsys, argv):
@@ -523,14 +506,3 @@ class TestFlags:
         assert lines[0].startswith("usage: parapose")
         assert lines[-1].startswith("parapose") and ": error: " in lines[-1]
 
-    def test_nan_tolerance_reaches_solve_posture(self, monkeypatch, capsys):
-        seen = []
-
-        def recording(problem, **kwargs):
-            seen.append(kwargs["tol_root"])
-            return solve_posture(problem, **kwargs)
-
-        monkeypatch.setattr("parapose.cli.solve_posture", recording)
-        assert main(["solve", "--input", str(EXAMPLE1), "--tol-root", "nan"]) == 2
-        assert len(seen) == 1 and math.isnan(seen[0])
-        assert "positive and finite" in capsys.readouterr().err

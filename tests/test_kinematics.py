@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -156,11 +155,6 @@ class TestPhysicalFilter:
         t = SolutionTuple((complex("nan+nanj"),) * 8)
         assert not filter_physical([t])[0].physical
 
-    def test_tolerance_must_be_positive(self):
-        for tol in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                filter_physical([], tol=tol)
-
 
 class TestAngles:
     def test_platform_angle(self):
@@ -218,14 +212,9 @@ class TestResiduals:
 
 class TestSolvePosture:
     @pytest.mark.parametrize("name", ["tol_root", "tol_physical"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-    def test_tolerances_checked_before_groebner(self, problem1, monkeypatch, name, value):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("buchberger ran before the tolerance check")
-
-        monkeypatch.setattr("parapose.kinematics.buchberger", unreachable)
-        with pytest.raises(ValueError, match="positive and finite"):
-            solve_posture(problem1, **{name: value})
+    def test_tolerances_are_fixed(self, problem1, name):
+        with pytest.raises(TypeError):
+            solve_posture(problem1, **{name: 1e-6})
 
     def test_example_one_postures(self, problem1):
         rep = solve_posture(problem1)

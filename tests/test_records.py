@@ -42,7 +42,7 @@ def frozen_records(problem):
         PostureAngles(1.0, 2.0, 3.0, 4.0),
         GroebnerBasis((), stats=BuchbergerStats()),
         InversionCircle(1 + 2j, 3),
-        RootSet((1j,), (0.0,), 1, (1,), 3),
+        RootSet((1j,), (0.0,), (1,), 3),
     ]
 
 
@@ -78,9 +78,9 @@ class TestRepr:
             ),
             (SolutionTuple(()), "SolutionTuple(coords=(), physical=False, residual_max=nan)"),
             (
-                RootSet((1j,), (0.0,), 1, (1,), 3),
-                "RootSet(roots=(1j,), residuals=(0.0,), poly_degree=1, "
-                "multiplicities=(1,), iterations=3)",
+                RootSet((1j,), (0.0,), (1,), 3),
+                "RootSet(roots=(1j,), residuals=(0.0,), multiplicities=(1,), "
+                "iterations=3)",
             ),
             (
                 SolutionReport(problem, GroebnerBasis(()), UniPoly([1]), True, (), ()),

@@ -98,15 +98,30 @@ class TestFindRoots:
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)
             ]
             rs = find_roots(poly_from_roots(seeds))
-            assert rs.poly_degree == n
             assert len(rs.roots) == n == len(rs.residuals) == len(rs.multiplicities)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_tolerance_must_be_positive_and_finite(self, tol, monkeypatch):
-        # no iterations would end in ConvergenceError: the check comes first
-        monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 0)
-        with pytest.raises(ValueError, match="positive and finite"):
-            find_roots(G8, tol=tol)
+    def test_tolerance_is_fixed(self):
+        with pytest.raises(TypeError):
+            find_roots(G8, tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs, roots, multiplicities",
+        [
+            ([0, 0, 0, 1], [0j] * 3, (3, 3, 3)),
+            ([0, 1], [0j], (1,)),
+            ([0, 0, -1, 1], [0j, 0j, 1 + 0j], (2, 2, 1)),
+            ([0, -4, 0, 1], [-2 + 0j, 0j, 2 + 0j], (1, 1, 1)),
+        ],
+        ids=["z^3", "z", "z^2(z-1)", "z(z^2-4)"],
+    )
+    def test_roots_at_zero(self, coeffs, roots, multiplicities):
+        rs = find_roots(UniPoly([gq(c) for c in coeffs]))
+        # a zero root is read from the exact coefficients, not iterated to
+        assert rs.roots.count(0j) == roots.count(0j)
+        match_roots(rs.roots, roots, 1e-12)
+        assert rs.multiplicities == multiplicities
+        if not any(roots):
+            assert rs.iterations == 0
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +175,6 @@ class TestFindRoots:
         # (z - 1)^2 (z + 2) = z^3 - 3z + 2
         f = UniPoly([gq(2), gq(-3), gq(0), gq(1)])
         rs = find_roots(f)
-        assert rs.has_repeated_roots
         assert sorted(rs.multiplicities) == [1, 2, 2]
         double = [z for z, m in zip(rs.roots, rs.multiplicities) if m == 2]
         assert double[0] == double[1]
