@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -212,9 +213,15 @@ class TestResiduals:
 
 class TestSolvePosture:
     @pytest.mark.parametrize("name", ["tol_root", "tol_physical"])
-    def test_tolerances_are_fixed(self, problem1, name):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerances_checked_before_groebner(self, problem1, monkeypatch, name, value):
+        # the tolerances are fixed: any value for either keyword is a TypeError
+        def unreachable(*args, **kwargs):
+            raise AssertionError("buchberger ran before the keyword was rejected")
+
+        monkeypatch.setattr("parapose.kinematics.buchberger", unreachable)
         with pytest.raises(TypeError):
-            solve_posture(problem1, **{name: 1e-6})
+            solve_posture(problem1, **{name: value})
 
     def test_example_one_postures(self, problem1):
         rep = solve_posture(problem1)

@@ -100,9 +100,14 @@ class TestFindRoots:
             rs = find_roots(poly_from_roots(seeds))
             assert len(rs.roots) == n == len(rs.residuals) == len(rs.multiplicities)
 
-    def test_tolerance_is_fixed(self):
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol, monkeypatch):
+        # the fixed tolerance is positive and finite, and no other can be passed;
+        # no iterations would end in ConvergenceError: the keyword is rejected first
+        assert 0.0 < rootfind.DEFAULT_TOL < float("inf")
+        monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(TypeError):
-            find_roots(G8, tol=1e-12)
+            find_roots(G8, tol=tol)
 
     @pytest.mark.parametrize(
         "coeffs, roots, multiplicities",
