@@ -17,11 +17,15 @@ passes through a float; any other JSON type is rejected.  Reports are
 deterministic: rerunning the same input produces byte-identical JSON
 once the single "timestamp" field (wall-clock data) is removed.
 
+"-" as ``--input`` reads standard input, and as ``--output`` writes the
+report to standard output; errors then name the input ``<stdin>``.
+
 Exit codes: 0 success, 1 usage error, 2 solver or input error.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -48,6 +52,7 @@ __all__ = [
     "run_solve",
     "run_gb",
     "main",
+    "run",
 ]
 
 
@@ -69,14 +74,20 @@ _FIELDS = (
 _SECTION_OF = {key: section for section, key, _ in _FIELDS}
 
 
-def _read_text(path) -> str:
+def _read_text(path) -> tuple[str, str]:
+    """The name error messages give the input, and its text; "-" is stdin."""
+    source = "<stdin>" if path == "-" else path
     try:
+        if path == "-":
+            if sys.stdin is None:  # started with standard input closed
+                raise ProblemFileError(f"{source}: not open")
+            return source, sys.stdin.read()
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return source, f.read()
     except OSError as exc:
-        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from exc
+        raise ProblemFileError(f"{source}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ProblemFileError(f"{path}: {exc}") from exc
+        raise ProblemFileError(f"{source}: {exc}") from exc
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -88,16 +99,17 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def parse_problem(path) -> ManipulatorProblem:
-    """Read and validate a problem file, exactly (no float intermediates)."""
-    text = _read_text(path)
+    """Read and validate a problem file ("-": standard input), exactly
+    (no float intermediates)."""
+    source, text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"{path}: invalid JSON ({exc})") from exc
+        raise ProblemFileError(f"{source}: invalid JSON ({exc})") from exc
     except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
-        raise ProblemFileError(f"{path}: {exc}") from exc
+        raise ProblemFileError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ProblemFileError(f"{path}: expected a JSON object")
+        raise ProblemFileError(f"{source}: expected a JSON object")
 
     sections = {name: _section(doc, name) for name in ("geometry", "strokes")}
     values = {}
@@ -194,11 +206,11 @@ def run_solve(args) -> int:
         doc = report_to_json(report, emit_basis=args.emit_basis)
         payload = json.dumps(doc, indent=2) + "\n"
 
-        if args.output:
+        if args.output in (None, "-"):
+            sys.stdout.write(payload)
+        else:
             with open(args.output, "w", encoding="utf-8") as f:
                 f.write(payload)
-        else:
-            sys.stdout.write(payload)
 
         if args.svg_dir:
             os.makedirs(args.svg_dir, exist_ok=True)
@@ -230,7 +242,7 @@ def run_gb(args) -> int:
     from .polytext import PolyParseError, parse_poly
 
     try:
-        text = _read_text(args.input)
+        _, text = _read_text(args.input)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -277,8 +289,8 @@ _SOLVE_HELP = f"""{_SOLVE_USAGE}
 
 options:
   -h, --help            show this help message and exit
-  --input INPUT         problem JSON file
-  --output OUTPUT       report JSON path (default: stdout)
+  --input INPUT         problem JSON file ("-": stdin)
+  --output OUTPUT       report JSON path (default or "-": stdout)
   --svg-dir SVG_DIR     directory for posture_<k>.svg files
   --emit-basis          include the Groebner basis in the report
 """
@@ -288,7 +300,7 @@ _GB_HELP = f"""{_GB_USAGE}
 
 options:
   -h, --help     show this help message and exit
-  --input INPUT  text file, one polynomial per line
+  --input INPUT  text file, one polynomial per line ("-": stdin)
 """
 
 # command -> (runner, usage, help, {flag: default}); a flag whose default
@@ -348,7 +360,7 @@ def main(argv=None) -> int:
         message = f"unknown command {argv[0]!r}" if argv else "a command is required"
         print(_USAGE, f"parapose: error: {message}", sep="\n", file=sys.stderr)
         return 1
-    run, usage, text, flags = _COMMANDS[argv[0]]
+    runner, usage, text, flags = _COMMANDS[argv[0]]
     try:
         values = _parse_flags(flags, argv[1:])
     except _UsageError as exc:
@@ -357,8 +369,24 @@ def main(argv=None) -> int:
     if values is None:
         sys.stdout.write(text)
         return 0
-    return run(SimpleNamespace(**values))
+    return runner(SimpleNamespace(**values))
+
+
+def run() -> int:
+    """Process entry of ``parapose`` and ``python -m parapose``: ``main()``
+    on ``sys.argv``, returning its exit code.
+
+    Everything still alive then dies with the process, so ``gc.freeze()``
+    moves it out of the collector's reach, and the interpreter's exit
+    skips its full collections over every object that ``site``, the
+    standard library and the command left behind.  Atexit handlers and
+    stream flushing still run.  In-process callers use ``main()``, which
+    leaves the collector as it found it.
+    """
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

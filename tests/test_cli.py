@@ -1,10 +1,16 @@
 import datetime
+import gc
+import io
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 import pytest
 
+import parapose
 from parapose.cli import (
     ProblemFileError,
     _utc_isoformat,
@@ -12,6 +18,7 @@ from parapose.cli import (
     parse_problem,
     problem_to_json,
     report_to_json,
+    run,
 )
 from parapose.gaussrat import GaussianRational
 from parapose.kinematics import solve_posture
@@ -35,6 +42,28 @@ def write_problem(tmp_path, body, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body) if isinstance(body, dict) else body)
     return path
+
+
+def without_timestamp(text):
+    doc = json.loads(text)
+    doc.pop("timestamp")
+    return json.dumps(doc, indent=2)
+
+
+def svg_bytes(svg_dir):
+    return {p.name: p.read_bytes() for p in svg_dir.iterdir()}
+
+
+def run_entry(*argv, stdin=None):
+    """``python -m parapose`` in a fresh interpreter that imports this parapose."""
+    src = str(Path(parapose.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "parapose", *argv],
+        input=stdin, stdin=None if stdin is not None else subprocess.DEVNULL,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
 
 
 def example_body(**overrides):
@@ -292,6 +321,115 @@ class TestSolveCommand:
         assert captured.err.startswith("usage: parapose solve")
         assert f"unknown flag {flag}" in captured.err
         assert not out.exists()
+
+
+class TestStandardStreams:
+    """"-" as --input reads stdin; as --output it writes the report to stdout."""
+
+    def test_solve_reads_stdin(self, tmp_path, monkeypatch, capsys):
+        assert main(["solve", "--input", str(EXAMPLE1)]) == 0
+        expected = without_timestamp(capsys.readouterr().out)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(EXAMPLE1.read_text()))
+        assert main(["solve", "--input", "-", "--output", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert without_timestamp(captured.out) == expected
+        assert list(tmp_path.iterdir()) == []  # no file named "-"
+
+    def test_gb_reads_stdin(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("CA^2 - 1\nCA*CB - 1\n"))
+        assert main(["gb", "--input=-"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["CA - CB", "CB^2 - 1"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("solve", "{not json", "error: <stdin>: invalid JSON"),
+            ("solve", "5", "error: <stdin>: expected a JSON object"),
+            ("gb", "CA\nnot a poly\n", "error: line 2: "),
+        ],
+    )
+    def test_stdin_errors(self, monkeypatch, capsys, command, text, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main([command, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message)
+
+    @pytest.mark.parametrize("command", ["solve", "gb"])
+    def test_closed_stdin(self, monkeypatch, capsys, command):
+        # an interpreter started with its standard input closed has no sys.stdin
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main([command, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: <stdin>: not open\n"
+
+
+class TestProcessEntry:
+    """``python -m parapose`` runs ``run()``: ``main()``, then ``gc.freeze()``."""
+
+    def test_same_report_and_svgs_as_in_process(self, tmp_path):
+        args = ["solve", "--input", str(EXAMPLE2), "--emit-basis"]
+        here, child = tmp_path / "here", tmp_path / "child"
+        for out in (here, child):
+            out.mkdir()
+        assert main([*args, "--output", str(here / "r.json"),
+                     "--svg-dir", str(here / "svg")]) == 0
+        to_file = run_entry(*args, "--output", str(child / "r.json"),
+                            "--svg-dir", str(child / "svg"))
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
+        to_stdout = run_entry(*args, "--output", "-")
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, "")
+
+        expected = without_timestamp((here / "r.json").read_text())
+        assert without_timestamp((child / "r.json").read_text()) == expected
+        assert without_timestamp(to_stdout.stdout) == expected
+        assert len(svg_bytes(here / "svg")) == 4
+        assert svg_bytes(child / "svg") == svg_bytes(here / "svg")
+
+    def test_usage_error_exits_one(self):
+        result = run_entry("solve", "--input")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: parapose solve")
+
+    def test_solver_error_exits_two(self):
+        # a platform congruent to its base: not in shape position
+        congruent = example_body(**{
+            "geometry.l_ab": "6", "geometry.l_ac": "8",
+            "strokes.s_a": "3", "strokes.s_b": "3", "strokes.s_c": "3",
+        })
+        result = run_entry("solve", "--input", "-", stdin=json.dumps(congruent))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: triangular extension unavailable")
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["solve", "--input", str(EXAMPLE1),
+                     "--output", str(tmp_path / "r.json")]) == 0
+        assert main(["solve", "--input"]) == 1
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_run_freezes_after_main(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        argv = ["parapose", "solve", "--input", str(EXAMPLE1), "--output", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        frozen = gc.get_freeze_count()
+        try:
+            assert run() == 0
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert json.loads(out.read_text())["diagnostics"]["physical_count"] == 2
 
 
 class TestTimestamp:
