@@ -42,7 +42,7 @@ from .kinematics import (
 )
 from .multipoly import VAR_NAMES
 from .rootfind import ConvergenceError
-from .svgdraw import VertexMismatchError, render_posture
+from .svgdraw import render_posture
 
 __all__ = [
     "ProblemFileError",
@@ -108,6 +108,8 @@ def parse_problem(path) -> ManipulatorProblem:
         raise ProblemFileError(f"{source}: invalid JSON ({exc})") from exc
     except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
         raise ProblemFileError(f"{source}: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFileError(f"{source}: invalid JSON (nested too deeply)") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{source}: expected a JSON object")
 
@@ -130,20 +132,11 @@ def parse_problem(path) -> ManipulatorProblem:
 
 
 def problem_to_json(problem: ManipulatorProblem) -> dict:
-    return {
-        "geometry": {
-            "l_ab": str(problem.l_ab),
-            "l_ac": str(problem.l_ac),
-            "d_ab": problem.d_ab.to_json(),
-            "d_ac": problem.d_ac.to_json(),
-            "cis_beta": problem.cis_beta.to_json(),
-        },
-        "strokes": {
-            "s_a": str(problem.s_a),
-            "s_b": str(problem.s_b),
-            "s_c": str(problem.s_c),
-        },
-    }
+    doc = {"geometry": {}, "strokes": {}}
+    for section, key, read in _FIELDS:
+        value = getattr(problem, key)
+        doc[section][key] = str(value) if read is parse_rational else value.to_json()
+    return doc
 
 
 def _complex_json(z: complex) -> dict:
@@ -200,40 +193,25 @@ def report_to_json(report: SolutionReport, *, emit_basis: bool = False) -> dict:
 
 def run_solve(args) -> int:
     """Solve one problem file; write the report and optional SVG set."""
-    try:
-        problem = parse_problem(args.input)
-        report = solve_posture(problem)
-        doc = report_to_json(report, emit_basis=args.emit_basis)
-        payload = json.dumps(doc, indent=2) + "\n"
+    problem = parse_problem(args.input)
+    report = solve_posture(problem)
+    doc = report_to_json(report, emit_basis=args.emit_basis)
+    payload = json.dumps(doc, indent=2) + "\n"
 
-        if args.output in (None, "-"):
-            sys.stdout.write(payload)
-        else:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(payload)
+    if args.output in (None, "-"):
+        sys.stdout.write(payload)
+    else:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(payload)
 
-        if args.svg_dir:
-            os.makedirs(args.svg_dir, exist_ok=True)
-            k = 0
-            physical = [t for t in report.solutions if t.physical]
-            for t, posture in zip(physical, report.postures):
-                k += 1
-                svg = render_posture(problem, t, posture, title=f"posture {k}")
-                svg_path = os.path.join(args.svg_dir, f"posture_{k}.svg")
-                with open(svg_path, "w", encoding="utf-8") as f:
-                    f.write(svg)
-    except (
-        ProblemFileError,
-        ShapePositionError,
-        ConvergenceError,
-        PairLimitExceeded,
-        VertexMismatchError,
-        OSError,
-        OverflowError,  # an exact value beyond double range
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.svg_dir:
+        os.makedirs(args.svg_dir, exist_ok=True)
+        physical = [t for t in report.solutions if t.physical]
+        for k, (t, posture) in enumerate(zip(physical, report.postures), start=1):
+            svg = render_posture(problem, t, posture, title=f"posture {k}")
+            svg_path = os.path.join(args.svg_dir, f"posture_{k}.svg")
+            with open(svg_path, "w", encoding="utf-8") as f:
+                f.write(svg)
     return 0
 
 
@@ -241,12 +219,7 @@ def run_gb(args) -> int:
     """Read one polynomial per line, print the reduced monic lex basis."""
     from .polytext import PolyParseError, parse_poly
 
-    try:
-        _, text = _read_text(args.input)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    _, text = _read_text(args.input)
     generators = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
@@ -255,18 +228,18 @@ def run_gb(args) -> int:
         try:
             generators.append(parse_poly(body))
         except PolyParseError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return 2
+            raise PolyParseError(f"line {lineno}: {exc}") from exc
 
-    try:
-        basis = buchberger(generators)
-    except (ValueError, PairLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    for g in basis.elements:
+    for g in buchberger(generators).elements:
         print(g.to_text())
     return 0
+
+
+# bad input or an unsolvable problem: main() prints one "error:" line, exit 2
+# (ValueError covers ProblemFileError, PolyParseError, VertexMismatchError;
+# OverflowError is an exact value beyond double range)
+_INPUT_ERRORS = (ShapePositionError, ConvergenceError, PairLimitExceeded,
+                 OSError, OverflowError, ValueError)
 
 
 _USAGE = "usage: parapose [-h] {solve,gb} ..."
@@ -369,7 +342,11 @@ def main(argv=None) -> int:
     if values is None:
         sys.stdout.write(text)
         return 0
-    return runner(SimpleNamespace(**values))
+    try:
+        return runner(SimpleNamespace(**values))
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> int:

@@ -11,7 +11,6 @@ real pairs against the unit-circle diameter.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 from ._record import Record
 from .gaussrat import GaussianRational, parse_gaussian
@@ -43,7 +42,7 @@ class InversionCircle(Record):
             raise ValueError("radius must be positive and finite")
 
 
-class UniPoly:
+class UniPoly(Record):
     """Univariate polynomial over Q(i), coefficients stored constant-term first.
 
     Coefficients are GaussianRational; any other value goes through the
@@ -53,58 +52,40 @@ class UniPoly:
     the zero polynomial has no coefficients.
     """
 
-    __slots__ = ("_coefficients",)
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable):
+    def _check(self):
         out = [
             c if isinstance(c, GaussianRational) else GaussianRational(c)
-            for c in coefficients
+            for c in self.coefficients
         ]
         while out and not out[-1]:
             out.pop()
-        object.__setattr__(self, "_coefficients", tuple(out))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def coefficients(self) -> tuple:
-        return self._coefficients
+        object.__setattr__(self, "coefficients", tuple(out))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._coefficients) - 1
+        return len(self.coefficients) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coefficients
+        return not self.coefficients
 
     @property
     def leading_coefficient(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coefficients[-1]
+        return self.coefficients[-1]
 
     def to_text(self) -> str:
         """Comma-separated coefficient list, constant term first."""
         if self.is_zero:
             return "0"
-        return ", ".join(str(c) for c in self._coefficients)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._coefficients == other._coefficients
-
-    def __hash__(self):
-        return hash(self._coefficients)
-
-    def __reduce__(self):
-        return (UniPoly, (self._coefficients,))
+        return ", ".join(str(c) for c in self.coefficients)
 
     def __repr__(self):
-        return f"UniPoly({list(self._coefficients)!r})"
+        return f"UniPoly({list(self.coefficients)!r})"
 
 
 def parse_unipoly(text: str) -> UniPoly:
@@ -149,26 +130,25 @@ def reciprocal(f: UniPoly) -> UniPoly:
     return UniPoly(list(reversed(f.coefficients)))
 
 
-def _exact_predicate_input(f: UniPoly):
+def _is_palindrome(f: UniPoly, conjugate: bool) -> bool:
+    """True iff the coefficients equal their reversed list, conjugated or not."""
     _require_nonzero(f)
-    if f.coefficients[0].is_zero:
+    coeffs = f.coefficients
+    if coeffs[0].is_zero:
         # a root at the origin has its inverse at infinity
         raise ValueError("constant term must be nonzero")
-    return f.coefficients
+    mirror = coeffs[::-1]
+    return coeffs == (tuple(c.conjugate() for c in mirror) if conjugate else mirror)
 
 
 def is_self_inversive(f: UniPoly) -> bool:
     """True iff c_i = conj(c_{n-i}) for all i (exact comparison)."""
-    coeffs = _exact_predicate_input(f)
-    n = len(coeffs) - 1
-    return all(coeffs[i] == coeffs[n - i].conjugate() for i in range(n + 1))
+    return _is_palindrome(f, conjugate=True)
 
 
 def is_self_reciprocal(f: UniPoly) -> bool:
     """True iff c_i = c_{n-i} for all i (exact comparison)."""
-    coeffs = _exact_predicate_input(f)
-    n = len(coeffs) - 1
-    return all(coeffs[i] == coeffs[n - i] for i in range(n + 1))
+    return _is_palindrome(f, conjugate=False)
 
 
 def harmonic_conjugate_check(z: float, z_prime: float, tol: float = DEFAULT_TOL) -> bool:

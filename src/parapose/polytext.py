@@ -142,4 +142,7 @@ def parse_poly(text: str) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text")
-    return _Parser(tokens).parse()
+    try:
+        return _Parser(tokens).parse()
+    except RecursionError as exc:
+        raise PolyParseError("nested too deeply") from exc

@@ -40,7 +40,7 @@ def _escape_text(text: str) -> str:
 def render_posture(
     problem: ManipulatorProblem,
     solution: SolutionTuple,
-    posture: PostureAngles | None = None,
+    posture: PostureAngles,
     *,
     title: str = "",
 ) -> str:
@@ -131,14 +131,11 @@ def render_posture(
     label(p_b, "B1")
     label(p_c, "C1")
 
-    legend_lines = []
-    if title:
-        legend_lines.append(_escape_text(title))
-    if posture is not None:
-        ta, tb, tc, al = posture.as_tuple()
-        legend_lines.append(
-            f"theta_a={ta:.2f}  theta_b={tb:.2f}  theta_c={tc:.2f}  alpha={al:.2f}"
-        )
+    legend_lines = [_escape_text(title)] if title else []
+    ta, tb, tc, al = posture.as_tuple()
+    legend_lines.append(
+        f"theta_a={ta:.2f}  theta_b={tb:.2f}  theta_c={tc:.2f}  alpha={al:.2f}"
+    )
     for i, text in enumerate(legend_lines):
         parts.append(
             f'<text x="12" y="{_fmt(20.0 + 16.0 * i)}" font-size="13" '

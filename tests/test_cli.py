@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -21,7 +22,9 @@ from parapose.cli import (
     run,
 )
 from parapose.gaussrat import GaussianRational
-from parapose.kinematics import solve_posture
+from parapose.groebner import BuchbergerStats, PairLimitExceeded
+from parapose.kinematics import ManipulatorProblem, ShapePositionError, solve_posture
+from parapose.rootfind import ConvergenceError
 from parapose.svgdraw import VertexMismatchError, render_posture
 
 from conftest import PROBLEMS_DIR
@@ -93,6 +96,44 @@ class TestParseProblem:
         problem = parse_problem(EXAMPLE2)
         path = write_problem(tmp_path, problem_to_json(problem))
         assert parse_problem(path) == problem
+
+    def test_round_trip_generic(self, tmp_path):
+        # negative, fractional and Pythagorean values; the JSON keeps the
+        # file layout and key order
+        rng = random.Random(13)
+
+        def rational(lo=1):
+            return Fraction(rng.randint(lo, 40), rng.randint(1, 9))
+
+        def gaussian():
+            return GaussianRational(rational(-40), rational(-40))
+
+        layout = {"geometry": ["l_ab", "l_ac", "d_ab", "d_ac", "cis_beta"],
+                  "strokes": ["s_a", "s_b", "s_c"]}
+        for k in range(40):
+            m, n = rng.randint(2, 9), rng.randint(1, 8)
+            a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+            if rng.random() < 0.5:
+                a, b = b, a
+            d_ab, d_ac = gaussian(), gaussian()
+            if d_ab.is_zero or d_ac.is_zero or d_ab == d_ac:
+                continue
+            problem = ManipulatorProblem(
+                l_ab=rational(), l_ac=rational(), d_ab=d_ab, d_ac=d_ac,
+                cis_beta=GaussianRational(Fraction(rng.choice((-a, a)), c),
+                                          Fraction(rng.choice((-b, b)), c)),
+                s_a=rational(), s_b=rational(), s_c=rational(),
+            )
+            doc = problem_to_json(problem)
+            assert {section: list(doc[section]) for section in doc} == layout
+            path = write_problem(tmp_path, doc, name=f"p{k}.json")
+            assert parse_problem(path) == problem
+
+    def test_deeply_nested_json(self, tmp_path):
+        # beyond the interpreter's recursion limit: a file error, not RecursionError
+        path = write_problem(tmp_path, "[" * 100000)
+        with pytest.raises(ProblemFileError, match=r"invalid JSON \(nested too deeply\)"):
+            parse_problem(path)
 
     def test_imaginary_anchor(self, tmp_path):
         path = write_problem(tmp_path, example_body())
@@ -321,6 +362,48 @@ class TestSolveCommand:
         assert captured.err.startswith("usage: parapose solve")
         assert f"unknown flag {flag}" in captured.err
         assert not out.exists()
+
+
+class TestErrorExit:
+    """main() turns a runner's input or solver error into one line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            ("solve_posture", ShapePositionError("triangular extension unavailable")),
+            ("solve_posture", ConvergenceError("root residuals exceed", (), (), 200)),
+            ("solve_posture", PairLimitExceeded(7, BuchbergerStats(9, 7))),
+            ("solve_posture", OverflowError("coefficient exceeds double range")),
+            ("render_posture", VertexMismatchError("platform vertex B differs")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_runner_errors_exit_two(self, tmp_path, monkeypatch, capsys, target, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"parapose.cli.{target}", fail)
+        argv = ["solve", "--input", str(EXAMPLE1), "--output", str(tmp_path / "r.json"),
+                "--svg-dir", str(tmp_path / "svg")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("solve", "[" * 100000, "{path}: invalid JSON (nested too deeply)"),
+            ("gb", "(" * 5000 + "CA" + ")" * 5000, "line 1: nested too deeply"),
+        ],
+        ids=["solve", "gb"],
+    )
+    def test_deep_nesting_exits_two(self, tmp_path, capsys, command, text, message):
+        path = write_problem(tmp_path, text, name="deep.txt")
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: " + message.format(path=path)]
 
 
 class TestStandardStreams:

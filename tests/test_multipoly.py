@@ -250,7 +250,15 @@ class TestTextForm:
         )
         assert p.coefficient(mono(CC=1)) == GaussianRational(1)
 
-    @pytest.mark.parametrize("text", ["", "CA +", "CD", "2^CA", "CA^-1", "(CA", "CA/CB"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "CA +", "CD", "2^CA", "CA^-1", "(CA", "CA/CB",
+            # deeper than the interpreter's recursion limit
+            pytest.param("(" * 5000 + "CA" + ")" * 5000, id="deep-parentheses"),
+            pytest.param("-" * 5000 + "CA", id="deep-signs"),
+        ],
+    )
     def test_parse_errors(self, text):
         with pytest.raises(PolyParseError):
             parse_poly(text)

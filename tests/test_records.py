@@ -43,6 +43,7 @@ def frozen_records(problem):
         GroebnerBasis((), stats=BuchbergerStats()),
         InversionCircle(1 + 2j, 3),
         RootSet((1j,), (0.0,), (1,), 3),
+        UniPoly([1, GaussianRational(-2, 1), 3]),
     ]
 
 
@@ -113,6 +114,14 @@ class TestEqualityAndHash:
     def test_frozen_records_hash_by_fields(self, problem):
         for record in frozen_records(problem):
             assert hash(record) == hash(copy.copy(record))
+
+    def test_unipoly_by_trimmed_coefficients(self):
+        f = UniPoly([1, GaussianRational(-2, 1), 3, 0])
+        g = UniPoly((GaussianRational(1), GaussianRational(-2, 1), 3))
+        assert f == g and hash(f) == hash(g)
+        assert f != UniPoly([1, GaussianRational(-2, 1)])
+        assert f != f.coefficients
+        assert UniPoly([0, 0]) == UniPoly([])
 
     def test_equality_needs_same_class(self):
         assert GroebnerBasis(()) != ((),)
