@@ -20,8 +20,14 @@ The class is a hand-written immutable class with ``__slots__ = ("re",
 "im")``.  The field operators build their results with the private
 ``_make(re, im)``, which takes two ``Fraction`` values as they are and
 does not coerce or check them.  Products with a real (or zero) operand
-use two ``Fraction`` multiplications instead of four multiplications and
-two additions.
+use two ``Fraction`` multiplications.  Any other product is normalised
+once per part: both parts are put over the product D of the four
+component denominators, and each is built by one ``Fraction(n, D)``,
+whose single gcd gives the canonical value, instead of four ``Fraction``
+products and two sums that each reduce their own result.
+
+Error messages show a rejected value by :func:`_shown`, its repr cut to
+a fixed length, so one bad value gives one short error line.
 """
 
 from __future__ import annotations
@@ -46,8 +52,17 @@ _REAL_IMAG_RE = _re.compile(
 )
 
 
+_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to _SHOWN_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def _malformed(value) -> ValueError:
-    return ValueError(f"malformed rational {value!r} (expected p/q, p or an integer)")
+    return ValueError(f"malformed rational {_shown(value)} (expected p/q, p or an integer)")
 
 
 def exact_rational(value, *, text: bool = True) -> Fraction:
@@ -150,7 +165,17 @@ class GaussianRational:
             return _make(a * c, b * c)
         if not b:
             return _make(a * c, a * d)
-        return _make(a * c - b * d, a * d + b * c)
+        # both parts over den = ad*bd*cd*dd: one gcd each, in Fraction(n, den)
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        cn, cd = c.numerator, c.denominator
+        dn, dd = d.numerator, d.denominator
+        acd, bdd = ad * cd, bd * dd
+        den = acd * bdd
+        return _make(
+            Fraction(an * cn * bdd - bn * dn * acd, den),
+            Fraction(an * dn * bd * cd + bn * cn * ad * dd, den),
+        )
 
     __rmul__ = __mul__
 
@@ -207,7 +232,7 @@ class GaussianRational:
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
         if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-            raise ValueError(f"expected {{'re','im'}} object, got {obj!r}")
+            raise ValueError(f"expected {{'re','im'}} object, got {_shown(obj)}")
         return cls(parse_rational(obj["re"]), parse_rational(obj["im"]))
 
     def __str__(self):
@@ -259,4 +284,4 @@ def parse_gaussian(text: str) -> GaussianRational:
     m = _IMAG_ONLY_RE.fullmatch(s)
     if m:
         return GaussianRational(0, m["sign"] + (m["mag"] or "1"))
-    raise ValueError(f"malformed Gaussian rational {text!r}")
+    raise ValueError(f"malformed Gaussian rational {_shown(text)}")

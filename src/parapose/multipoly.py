@@ -23,12 +23,13 @@ and free of zero coefficients, and checks nothing.
 splits each divisor into leading monomial, leading coefficient and tail
 once per call.  At each step it removes the term being reduced and
 subtracts the quotient term times the divisor's tail only: the leading
-product would cancel that term exactly, so it is never formed.  It
-divides by a divisor's leading coefficient only when that is not 1:
-Groebner basis elements are monic, so reducing modulo a basis never
-divides.
-``s_polynomial`` likewise skips the inverse and the scaling for a monic
-argument.
+product would cancel that term exactly, so it is never formed.
+
+Every division by a leading coefficient is one inverse and then
+products: ``monic``, ``s_polynomial`` and the reduction loop each take
+the inverse once and multiply by it.  The loop and ``s_polynomial`` skip
+the inverse for a leading coefficient of 1: Groebner basis elements are
+monic, so reducing modulo a basis never divides.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ class MultiPoly:
         lc = self.leading_coefficient
         if lc == _ONE:
             return self
-        return MultiPoly._trusted(tuple((m, c / lc) for m, c in self._terms))
+        inv = _inverse(lc)
+        return MultiPoly._trusted(tuple((m, c * inv) for m, c in self._terms))
 
     def formal_conjugate(self) -> "MultiPoly":
         """Swap each variable with its barred partner, conjugating coefficients."""
@@ -369,18 +371,18 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
             raise ZeroDivisionError("zero polynomial among divisors")
         terms = d.terms
         lm, lc = terms[0]
-        # basis elements are monic: no division for them
-        heads.append((lm, None if lc == _ONE else lc, terms[1:]))
+        # basis elements are monic: no inverse for them
+        heads.append((lm, None if lc == _ONE else _inverse(lc), terms[1:]))
 
     work = dict(f.terms)
     remainder = []
     while work:
         mono = max(work)
         coeff = work.pop(mono)
-        for i, (lm, lc, tail) in enumerate(heads):
+        for i, (lm, inv, tail) in enumerate(heads):
             if mono_divides(lm, mono):
                 qm = tuple(map(sub, mono, lm))
-                qc = coeff if lc is None else coeff / lc
+                qc = coeff if inv is None else coeff * inv
                 if quotients is not None:
                     quotients[i][qm] = qc
                 # qc * lc == coeff exactly, so the leading product would

@@ -279,6 +279,18 @@ class TestSolveCommand:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {section}.{key}: ")
 
+    @pytest.mark.parametrize("field", ["geometry.l_ab", "geometry.d_ab"])
+    def test_long_rejected_value_gives_short_line(self, tmp_path, capsys, field):
+        # the line shows the start of the value, not all 20000 elements
+        path = write_problem(tmp_path, example_body(**{field: list(range(20000))}))
+        assert main(["solve", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {field}: ")
+        assert len(lines[0].encode()) < 200
+
     @pytest.mark.parametrize(
         "overrides, field",
         [

@@ -174,6 +174,23 @@ class TestTextForms:
         with pytest.raises(ValueError):
             GaussianRational.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "read, value",
+        [
+            (parse_rational, list(range(20000))),
+            (parse_rational, "1" * 5000 + ".5"),
+            (GaussianRational.from_json, {"re": list(range(20000))}),
+            (parse_gaussian, "1" * 5000 + "+"),
+        ],
+        ids=["rational-list", "rational-text", "json-object", "gaussian-text"],
+    )
+    def test_rejected_value_is_cut_in_message(self, read, value):
+        with pytest.raises(ValueError) as info:
+            read(value)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "..." in message
+
     def test_from_json_takes_integer_components(self):
         assert GaussianRational.from_json({"re": 6, "im": "-1/2"}) == gq(6, Fraction(-1, 2))
 

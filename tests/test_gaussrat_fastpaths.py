@@ -5,6 +5,7 @@ on interpreters without the test extras installed.
 """
 
 import copy
+import math
 import pickle
 import unittest
 from fractions import Fraction
@@ -13,9 +14,24 @@ from itertools import product
 from parapose.gaussrat import GaussianRational
 
 # components cover zero, one, integers and proper fractions of both signs,
-# so operands range over zero, real, imaginary and general values
-COMPONENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-5, 2))
+# so operands range over zero, real, imaginary and general values; the two
+# tall ones (numerators and denominators of 141-147 bits, as in the bases of
+# generic designs) share their prime factors crosswise with each other and
+# with 7/3 and -5/2, so a product over the common denominator must cancel
+COMPONENTS = (
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-5, 2),
+    Fraction(3**90, 2 * 5**60), Fraction(-7 * 5**60, 11 * 3**90),
+)
 VALUES = [GaussianRational(a, b) for a, b in product(COMPONENTS, repeat=2)]
+TALL = GaussianRational(COMPONENTS[5], COMPONENTS[6])
+# products of two general operands with a known value: a part cancels to 0,
+# or everything cancels to 1
+PRODUCT_CASES = [
+    (GaussianRational(0, 1), GaussianRational(0, 1), GaussianRational(-1)),
+    (GaussianRational(1, 1), GaussianRational(1, 1), GaussianRational(0, 2)),
+    (TALL, TALL.conjugate(), GaussianRational(TALL.norm_sq())),
+    (TALL, GaussianRational(1) / TALL, GaussianRational(1)),
+]
 
 
 def generic_mul(a, b, c, d):
@@ -33,11 +49,18 @@ class TestOperatorShortcuts(unittest.TestCase):
         self.assertIs(type(z.re), Fraction)
         self.assertIs(type(z.im), Fraction)
         self.assertEqual((z.re, z.im), expected)
+        for part in (z.re, z.im):
+            # canonical: lowest terms with a positive denominator
+            self.assertEqual(math.gcd(part.numerator, part.denominator), 1)
+            self.assertGreater(part.denominator, 0)
 
     def test_product(self):
         for x, y in product(VALUES, repeat=2):
             with self.subTest(x=x, y=y):
                 self.assert_components(x * y, generic_mul(x.re, x.im, y.re, y.im))
+        for x, y, z in PRODUCT_CASES:
+            with self.subTest(x=x, y=y):
+                self.assert_components(x * y, (z.re, z.im))
 
     def test_sum_and_difference(self):
         for x, y in product(VALUES, repeat=2):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,23 @@ class TestTermInvariant:
 
 class TestMonicDivisors:
     """The monic shortcut and the general division path agree."""
+
+    def test_monic_divides_every_term_by_the_leading_coefficient(self):
+        rng = random.Random(1019)
+
+        def part():
+            bits = rng.choice((0, 3, 140))
+            return Fraction(rng.randrange(-2**bits, 2**bits + 1), rng.randrange(1, 2**bits + 2))
+
+        for _ in range(60):
+            p = MultiPoly(
+                (tuple(rng.randrange(3) for _ in range(8)), GaussianRational(part(), part()))
+                for _ in range(rng.randrange(1, 6))
+            )
+            if p.is_zero:
+                continue
+            lc = p.leading_coefficient
+            assert p.monic().terms == tuple((m, c / lc) for m, c in p.terms)
 
     @given(dense_polys, st.lists(st.tuples(dense_nonzero, coeffs), min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
