@@ -24,7 +24,12 @@ use two ``Fraction`` multiplications.  Any other product is normalised
 once per part: both parts are put over the product D of the four
 component denominators, and each is built by one ``Fraction(n, D)``,
 whose single gcd gives the canonical value, instead of four ``Fraction``
-products and two sums that each reduce their own result.
+products and two sums that each reduce their own result.  The private
+``_sub_mul`` fuses the reduction loop's step ``acc - x*y`` the same way:
+each part goes over its own denominator in ``acc`` times that D and is
+built by one ``Fraction``, so a step costs two gcds instead of the
+product's two and the sum's two.  This module is the only one that
+knows how a Q(i) value is normalised.
 
 Error messages show a rejected value by :func:`_shown`, its repr cut to
 a fixed length, so one bad value gives one short error line.
@@ -178,6 +183,26 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
+
+    def _sub_mul(self, x, y):
+        """self - x*y: part k of self (nk/ek) minus part k of the product
+        goes over ek*P, P the product of the four component denominators
+        of x and y, and is built by one ``Fraction(n, ek*P)``."""
+        an, ad = x.re.numerator, x.re.denominator
+        bn, bd = x.im.numerator, x.im.denominator
+        cn, cd = y.re.numerator, y.re.denominator
+        dn, dd = y.im.numerator, y.im.denominator
+        acd, bdd = ad * cd, bd * dd
+        p = acd * bdd
+        # the product's parts over p, as in __mul__
+        pre = an * cn * bdd - bn * dn * acd
+        pim = an * dn * bd * cd + bn * cn * ad * dd
+        re, im = self.re, self.im
+        ed, fd = re.denominator, im.denominator
+        return _make(
+            Fraction(re.numerator * p - pre * ed, ed * p),
+            Fraction(im.numerator * p - pim * fd, fd * p),
+        )
 
     def __truediv__(self, other):
         o = other if other.__class__ is GaussianRational else exact_operand(other)

@@ -23,7 +23,13 @@ and free of zero coefficients, and checks nothing.
 splits each divisor into leading monomial, leading coefficient and tail
 once per call.  At each step it removes the term being reduced and
 subtracts the quotient term times the divisor's tail only: the leading
-product would cancel that term exactly, so it is never formed.
+product would cancel that term exactly, so it is never formed.  A tail
+term that lands on a monomial not yet present stores the negated
+product; one that lands on an existing term replaces it by the fused
+``old - qc*dc`` of ``gaussrat`` (one ``Fraction`` normalisation per
+part), and a term whose parts both cancel is deleted.  Plain sums
+(``+`` and ``-`` of polynomials) and products of polynomials keep the
+separate product and sum.
 
 Every division by a leading coefficient is one inverse and then
 products: ``monic``, ``s_polynomial`` and the reduction loop each take
@@ -229,9 +235,18 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def term_shift(self, mono, coeff: GaussianRational) -> "MultiPoly":
-        """Multiply by the single term coeff * x^mono."""
+    def term_shift(self, mono, coeff) -> "MultiPoly":
+        """Multiply by the single term coeff * x^mono.
+
+        coeff is an exact scalar by the operators' rule
+        (:func:`~parapose.gaussrat.exact_operand`): a bool is a
+        ValueError, any other type it rejects a TypeError.
+        """
         mono = _check_mono(mono)
+        s = exact_operand(coeff)
+        if s is None:
+            raise TypeError(f"exact scalar required, got {type(coeff).__name__}")
+        coeff = s
         if coeff.is_zero:
             return MultiPoly()
         terms = self._terms
@@ -386,11 +401,21 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
                 if quotients is not None:
                     quotients[i][qm] = qc
                 # qc * lc == coeff exactly, so the leading product would
-                # cancel the popped term: work -= qc * x^qm * tail, one
-                # negation per step
+                # cancel the popped term: work -= qc * x^qm * tail.  A new
+                # monomial gets the negated product; an existing one the
+                # fused old - qc*dc, one Fraction normalisation per part
                 nqc = -qc
                 for dm, dc in tail:
-                    _add_inplace(work, tuple(map(add, qm, dm)), nqc * dc)
+                    m = tuple(map(add, qm, dm))
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = nqc * dc
+                    else:
+                        c = old._sub_mul(qc, dc)
+                        if c:
+                            work[m] = c
+                        else:
+                            del work[m]
                 break
         else:
             remainder.append((mono, coeff))

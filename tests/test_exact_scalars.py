@@ -58,6 +58,7 @@ ENTRIES = [
     ("v/z", lambda v: (v / GaussianRational(1)).re, False, None),
     ("poly+v", lambda v: (P0 + v).leading_coefficient.re, False, None),
     ("v*poly", lambda v: (v * P1).leading_coefficient.re, False, None),
+    ("poly.term_shift", lambda v: P1.term_shift(MONO_ONE, v).leading_coefficient.re, False, None),
 ] + [
     (name, _field(name), True, name)
     for name in ("l_ab", "l_ac", "d_ab", "d_ac", "cis_beta", "s_a", "s_b", "s_c")

@@ -84,6 +84,30 @@ class TestOperatorShortcuts(unittest.TestCase):
         self.assert_components(1 - z, (Fraction(1, 2), Fraction(3)))
         self.assert_components(1 / GaussianRational(0, 2), (Fraction(0), Fraction(-1, 2)))
 
+    def test_fused_multiply_subtract(self):
+        # the reduction loop's step acc - x*y against the textbook formula;
+        # acc = x*y itself cancels both parts exactly
+        for x, y in product(VALUES, repeat=2):
+            xy = GaussianRational(*generic_mul(x.re, x.im, y.re, y.im))
+            for acc in (GaussianRational(), TALL, xy):
+                with self.subTest(acc=acc, x=x, y=y):
+                    self.assert_components(
+                        acc._sub_mul(x, y), (acc.re - xy.re, acc.im - xy.im)
+                    )
+        self.assertFalse(TALL._sub_mul(TALL, GaussianRational(1)))
+
+    def test_fused_multiply_subtract_one_part_cancels(self):
+        # 7/3 + 5/2*i - (1 + i)(7/3) leaves only the imaginary part
+        acc = GaussianRational(Fraction(7, 3), Fraction(5, 2))
+        x, y = GaussianRational(1, 1), GaussianRational(Fraction(7, 3))
+        self.assert_components(acc._sub_mul(x, y), (Fraction(0), Fraction(1, 6)))
+        self.assert_components(acc._sub_mul(y, x), (Fraction(0), Fraction(1, 6)))
+        # tall parts: only the real part cancels
+        acc = GaussianRational(TALL.norm_sq(), Fraction(1, 3))
+        self.assert_components(
+            acc._sub_mul(TALL, TALL.conjugate()), (Fraction(0), Fraction(1, 3))
+        )
+
     def test_results_compare_and_hash_like_constructed_values(self):
         for x, y in product(VALUES, repeat=2):
             built = GaussianRational(*generic_mul(x.re, x.im, y.re, y.im))
