@@ -192,17 +192,15 @@ def report_to_json(report: SolutionReport, *, emit_basis: bool = False) -> dict:
 
 
 def run_solve(args) -> int:
-    """Solve one problem file; write the report and optional SVG set."""
+    """Solve one problem file; write the optional SVG set, then the report.
+
+    The report comes last, so a failure in the SVG step leaves no report
+    that looks like a success.
+    """
     problem = parse_problem(args.input)
     report = solve_posture(problem)
     doc = report_to_json(report, emit_basis=args.emit_basis)
     payload = json.dumps(doc, indent=2) + "\n"
-
-    if args.output in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(payload)
 
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
@@ -212,6 +210,12 @@ def run_solve(args) -> int:
             svg_path = os.path.join(args.svg_dir, f"posture_{k}.svg")
             with open(svg_path, "w", encoding="utf-8") as f:
                 f.write(svg)
+
+    if args.output in (None, "-"):
+        sys.stdout.write(payload)
+    else:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(payload)
     return 0
 
 

@@ -24,12 +24,16 @@ use two ``Fraction`` multiplications.  Any other product is normalised
 once per part: both parts are put over the product D of the four
 component denominators, and each is built by one ``Fraction(n, D)``,
 whose single gcd gives the canonical value, instead of four ``Fraction``
-products and two sums that each reduce their own result.  The private
-``_sub_mul`` fuses the reduction loop's step ``acc - x*y`` the same way:
+products and two sums that each reduce their own result.
+
+The reduction loop of ``multipoly`` runs on integer parts instead of
+boxed values: ``_parts(z)`` is ``(re_num, re_den, im_num, im_den)``, each
+part in lowest terms over a positive denominator (exactly the normal
+form of the two Fractions), and ``_from_parts`` boxes such a tuple again.
+``_sub_mul_parts(acc, x, y)`` is the loop's step ``acc - x*y`` on parts:
 each part goes over its own denominator in ``acc`` times that D and is
-built by one ``Fraction``, so a step costs two gcds instead of the
-product's two and the sum's two.  This module is the only one that
-knows how a Q(i) value is normalised.
+reduced by one gcd, with no object built but the result tuple.  This
+module is the only one that knows how a Q(i) value is normalised.
 
 Error messages show a rejected value by :func:`_shown`, its repr cut to
 a fixed length, so one bad value gives one short error line.
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "GaussianRational",
@@ -184,26 +189,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def _sub_mul(self, x, y):
-        """self - x*y: part k of self (nk/ek) minus part k of the product
-        goes over ek*P, P the product of the four component denominators
-        of x and y, and is built by one ``Fraction(n, ek*P)``."""
-        an, ad = x.re.numerator, x.re.denominator
-        bn, bd = x.im.numerator, x.im.denominator
-        cn, cd = y.re.numerator, y.re.denominator
-        dn, dd = y.im.numerator, y.im.denominator
-        acd, bdd = ad * cd, bd * dd
-        p = acd * bdd
-        # the product's parts over p, as in __mul__
-        pre = an * cn * bdd - bn * dn * acd
-        pim = an * dn * bd * cd + bn * cn * ad * dd
-        re, im = self.re, self.im
-        ed, fd = re.denominator, im.denominator
-        return _make(
-            Fraction(re.numerator * p - pre * ed, ed * p),
-            Fraction(im.numerator * p - pim * fd, fd * p),
-        )
-
     def __truediv__(self, other):
         o = other if other.__class__ is GaussianRational else exact_operand(other)
         if o is None:
@@ -285,6 +270,57 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
     _set_re(z, re)
     _set_im(z, im)
     return z
+
+
+# -- the reduction loop's working form: integer parts -------------------------
+
+def _parts(z: GaussianRational) -> tuple:
+    """z as (re_num, re_den, im_num, im_den), each part in lowest terms
+    over a positive denominator: the normal form of its two Fractions."""
+    re, im = z.re, z.im
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def _from_parts(t: tuple) -> GaussianRational:
+    """The value of parts t, which are already in lowest terms."""
+    rn, rd, jn, jd = t
+    return _make(Fraction(rn, rd), Fraction(jn, jd))
+
+
+def _sub_mul_parts(acc, x: tuple, y: tuple):
+    """acc - x*y on parts; acc None means 0, and the result is None when
+    both parts cancel.
+
+    The product's parts go over P, the product of the four component
+    denominators of x and y, as in ``__mul__``; part k of acc (nk/ek)
+    minus part k of the product goes over ek*P and is brought to lowest
+    terms by one gcd.  A part the product leaves unchanged is kept as it is.
+    """
+    an, ad, bn, bd = x
+    cn, cd, dn, dd = y
+    acd, bdd = ad * cd, bd * dd
+    p = acd * bdd
+    pre = an * cn * bdd - bn * dn * acd
+    pim = an * dn * bd * cd + bn * cn * ad * dd
+    if acc is None:
+        en, ed, fn, fd = 0, 1, 0, 1
+    else:
+        en, ed, fn, fd = acc
+    if pre:
+        en, ed = en * p - pre * ed, ed * p
+        g = gcd(en, ed)
+        if g != 1:
+            en //= g
+            ed //= g
+    if pim:
+        fn, fd = fn * p - pim * fd, fd * p
+        g = gcd(fn, fd)
+        if g != 1:
+            fn //= g
+            fd //= g
+    if en or fn:
+        return (en, ed, fn, fd)
+    return None
 
 
 def exact_operand(value):

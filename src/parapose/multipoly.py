@@ -21,21 +21,25 @@ and free of zero coefficients, and checks nothing.
 
 ``normal_form`` and ``multi_divide`` share one reduction loop.  It
 splits each divisor into leading monomial, leading coefficient and tail
-once per call.  At each step it removes the term being reduced and
-subtracts the quotient term times the divisor's tail only: the leading
-product would cancel that term exactly, so it is never formed.  A tail
-term that lands on a monomial not yet present stores the negated
-product; one that lands on an existing term replaces it by the fused
-``old - qc*dc`` of ``gaussrat`` (one ``Fraction`` normalisation per
-part), and a term whose parts both cancel is deleted.  Plain sums
-(``+`` and ``-`` of polynomials) and products of polynomials keep the
-separate product and sum.
+once per call.  Inside the loop coefficients are plain integer parts
+(``gaussrat._parts``), not ``GaussianRational`` objects: f's terms and
+each divisor's tail are converted once per call, and only remainder and
+quotient terms are boxed again on the way out.  At each step the loop
+removes the term being reduced and subtracts the quotient term times the
+divisor's tail only: the leading product would cancel that term exactly,
+so it is never formed.  Each tail term updates its monomial by
+``gaussrat._sub_mul_parts`` (``old - qc*dc``, one gcd per part, a
+missing term counting as 0), and a term whose parts both cancel is
+deleted.  All gcd and denominator arithmetic stays in ``gaussrat``.
+Plain sums (``+`` and ``-`` of polynomials) and products of polynomials
+keep the boxed product and sum.
 
 Every division by a leading coefficient is one inverse and then
 products: ``monic``, ``s_polynomial`` and the reduction loop each take
-the inverse once and multiply by it.  The loop and ``s_polynomial`` skip
-the inverse for a leading coefficient of 1: Groebner basis elements are
-monic, so reducing modulo a basis never divides.
+the inverse once and multiply by it (in the loop, as a boxed product).
+The loop and ``s_polynomial`` skip the inverse for a leading coefficient
+of 1: Groebner basis elements are monic, so reducing modulo a basis never
+divides.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, le, sub
 
-from .gaussrat import GaussianRational, exact_operand
+from .gaussrat import GaussianRational, _from_parts, _parts, _sub_mul_parts, exact_operand
 
 __all__ = [
     "N_VARS",
@@ -387,9 +391,10 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
         terms = d.terms
         lm, lc = terms[0]
         # basis elements are monic: no inverse for them
-        heads.append((lm, None if lc == _ONE else _inverse(lc), terms[1:]))
+        heads.append((lm, None if lc == _ONE else _inverse(lc),
+                      tuple((m, _parts(c)) for m, c in terms[1:])))
 
-    work = dict(f.terms)
+    work = {m: _parts(c) for m, c in f.terms}
     remainder = []
     while work:
         mono = max(work)
@@ -397,28 +402,22 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
         for i, (lm, inv, tail) in enumerate(heads):
             if mono_divides(lm, mono):
                 qm = tuple(map(sub, mono, lm))
-                qc = coeff if inv is None else coeff * inv
+                qc = coeff if inv is None else _parts(_from_parts(coeff) * inv)
                 if quotients is not None:
-                    quotients[i][qm] = qc
+                    quotients[i][qm] = _from_parts(qc)
                 # qc * lc == coeff exactly, so the leading product would
-                # cancel the popped term: work -= qc * x^qm * tail.  A new
-                # monomial gets the negated product; an existing one the
-                # fused old - qc*dc, one Fraction normalisation per part
-                nqc = -qc
+                # cancel the popped term: work -= qc * x^qm * tail, and a
+                # term whose parts both cancel is deleted
                 for dm, dc in tail:
                     m = tuple(map(add, qm, dm))
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = nqc * dc
+                    c = _sub_mul_parts(work.get(m), qc, dc)
+                    if c is None:
+                        del work[m]
                     else:
-                        c = old._sub_mul(qc, dc)
-                        if c:
-                            work[m] = c
-                        else:
-                            del work[m]
+                        work[m] = c
                 break
         else:
-            remainder.append((mono, coeff))
+            remainder.append((mono, _from_parts(coeff)))
     return MultiPoly._trusted(tuple(remainder))
 
 

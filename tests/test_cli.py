@@ -307,6 +307,25 @@ class TestSolveCommand:
         assert lines[0].startswith(f"error: {field}: ")
 
     @needs_digit_limit
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_failed_svg_step_writes_no_report(self, tmp_path, capsys, to_file):
+        # --svg-dir names an existing file, so its directory cannot be made:
+        # the error line is the whole outcome, with no report beside it
+        blocker = tmp_path / "svg"
+        blocker.write_text("")
+        out = tmp_path / "r.json"
+        argv = ["solve", "--input", str(EXAMPLE1), "--svg-dir", str(blocker)]
+        if to_file:
+            argv += ["--output", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert not out.exists()
+        assert blocker.read_text() == ""
+
     def test_overlong_json_integer_names_the_file(self, tmp_path, capsys):
         digits = sys.get_int_max_str_digits() + 700
         text = json.dumps(example_body()).replace('"2"', "1" * digits)
@@ -401,6 +420,7 @@ class TestErrorExit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {error}"]
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "command, text, message",

@@ -1,4 +1,5 @@
-"""GaussianRational operator shortcuts against the textbook formulas.
+"""GaussianRational operator shortcuts and the reduction loop's parts helpers
+against the textbook formulas.
 
 Standard library only, so that it also runs under ``python -m unittest``
 on interpreters without the test extras installed.
@@ -11,7 +12,7 @@ import unittest
 from fractions import Fraction
 from itertools import product
 
-from parapose.gaussrat import GaussianRational
+from parapose.gaussrat import GaussianRational, _from_parts, _parts, _sub_mul_parts
 
 # components cover zero, one, integers and proper fractions of both signs,
 # so operands range over zero, real, imaginary and general values; the two
@@ -84,28 +85,54 @@ class TestOperatorShortcuts(unittest.TestCase):
         self.assert_components(1 - z, (Fraction(1, 2), Fraction(3)))
         self.assert_components(1 / GaussianRational(0, 2), (Fraction(0), Fraction(-1, 2)))
 
+    def assert_parts(self, t, expected):
+        """t is the canonical parts of the nonzero value expected, or None
+        when expected is zero."""
+        re, im = expected
+        if not (re or im):
+            self.assertIsNone(t)
+            return
+        self.assertIs(type(t), tuple)
+        self.assertEqual(t, (re.numerator, re.denominator, im.numerator, im.denominator))
+        for n, d in (t[:2], t[2:]):
+            self.assertIs(type(n), int)
+            self.assertIs(type(d), int)
+            self.assertEqual(math.gcd(n, d), 1)
+            self.assertGreater(d, 0)
+
+    def test_parts_round_trip(self):
+        for z in VALUES + [TALL]:
+            with self.subTest(z=z):
+                self.assertEqual(_parts(z), (z.re.numerator, z.re.denominator,
+                                             z.im.numerator, z.im.denominator))
+                self.assert_components(_from_parts(_parts(z)), (z.re, z.im))
+
     def test_fused_multiply_subtract(self):
-        # the reduction loop's step acc - x*y against the textbook formula;
-        # acc = x*y itself cancels both parts exactly
+        # the reduction loop's step acc - x*y on parts against the textbook
+        # formula; acc None is 0, and acc = x*y itself cancels both parts
         for x, y in product(VALUES, repeat=2):
             xy = GaussianRational(*generic_mul(x.re, x.im, y.re, y.im))
-            for acc in (GaussianRational(), TALL, xy):
+            px, py = _parts(x), _parts(y)
+            for acc in (None, GaussianRational(), TALL, xy):
+                a = GaussianRational() if acc is None else acc
                 with self.subTest(acc=acc, x=x, y=y):
-                    self.assert_components(
-                        acc._sub_mul(x, y), (acc.re - xy.re, acc.im - xy.im)
+                    self.assert_parts(
+                        _sub_mul_parts(None if acc is None else _parts(acc), px, py),
+                        (a.re - xy.re, a.im - xy.im),
                     )
-        self.assertFalse(TALL._sub_mul(TALL, GaussianRational(1)))
+        self.assertIsNone(_sub_mul_parts(_parts(TALL), _parts(TALL), _parts(GaussianRational(1))))
 
     def test_fused_multiply_subtract_one_part_cancels(self):
         # 7/3 + 5/2*i - (1 + i)(7/3) leaves only the imaginary part
-        acc = GaussianRational(Fraction(7, 3), Fraction(5, 2))
-        x, y = GaussianRational(1, 1), GaussianRational(Fraction(7, 3))
-        self.assert_components(acc._sub_mul(x, y), (Fraction(0), Fraction(1, 6)))
-        self.assert_components(acc._sub_mul(y, x), (Fraction(0), Fraction(1, 6)))
+        acc = _parts(GaussianRational(Fraction(7, 3), Fraction(5, 2)))
+        x, y = _parts(GaussianRational(1, 1)), _parts(GaussianRational(Fraction(7, 3)))
+        self.assert_parts(_sub_mul_parts(acc, x, y), (Fraction(0), Fraction(1, 6)))
+        self.assert_parts(_sub_mul_parts(acc, y, x), (Fraction(0), Fraction(1, 6)))
         # tall parts: only the real part cancels
-        acc = GaussianRational(TALL.norm_sq(), Fraction(1, 3))
-        self.assert_components(
-            acc._sub_mul(TALL, TALL.conjugate()), (Fraction(0), Fraction(1, 3))
+        acc = _parts(GaussianRational(TALL.norm_sq(), Fraction(1, 3)))
+        self.assert_parts(
+            _sub_mul_parts(acc, _parts(TALL), _parts(TALL.conjugate())),
+            (Fraction(0), Fraction(1, 3)),
         )
 
     def test_results_compare_and_hash_like_constructed_values(self):

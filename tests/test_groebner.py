@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from parapose.groebner import (
     buchberger,
     is_groebner_basis,
 )
-from parapose.kinematics import _read_shape
+from parapose.kinematics import ManipulatorProblem, _read_shape, build_ideal
 from parapose.multipoly import MultiPoly, N_VARS, mono_divides, normal_form, parse_poly
+
+from conftest import RIGHT_TRIANGLE_GEOMETRY
 
 X, Y = MultiPoly.variable(0), MultiPoly.variable(1)
 
@@ -244,3 +247,27 @@ class TestStats:
     def test_stats_do_not_affect_equality(self, basis1):
         clone = GroebnerBasis(basis1.elements)
         assert clone == GroebnerBasis(basis1.elements, stats=basis1.stats)
+
+
+# The bundled anchors with l_ac 4, strokes (2, 7/2, 5/2) and a tall l_ab:
+# reduced bases of 741 (10^20) and 1472 bits (10^40), far above the
+# ~140 bits of the benchmark corpora.  Digest: SHA-256 of the element texts
+# joined by newlines, as bench/verify.py takes it.
+TALL_BASES = [
+    (20, "9a45894bb69fa9d4a3f745c81e785c33e89cbb5f9ce31662b45ec4bad86f7926", 6),
+    (40, "7133e6f4aa8c86a5646a37c39a4035b8c1e4847998621a42146320cc11228b35", 6),
+]
+
+
+class TestTallBases:
+    @pytest.mark.parametrize("exponent, digest, degree", TALL_BASES,
+                             ids=[f"l_ab-1e{e}" for e, _, _ in TALL_BASES])
+    def test_pinned(self, exponent, digest, degree):
+        problem = ManipulatorProblem(
+            **dict(RIGHT_TRIANGLE_GEOMETRY, l_ab=Fraction(10**exponent)),
+            s_a=Fraction(2), s_b=Fraction(7, 2), s_c=Fraction(5, 2),
+        )
+        basis = buchberger(build_ideal(problem))
+        text = "\n".join(g.to_text() for g in basis.elements)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert _read_shape(basis)[0].degree == degree

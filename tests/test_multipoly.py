@@ -44,6 +44,27 @@ monomials = st.lists(st.integers(0, 3), min_size=8, max_size=8).map(tuple)
 polys = st.dictionaries(monomials, coeffs, min_size=0, max_size=4).map(MultiPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
+# tall parts (numerators and denominators of 200 bits or more), purely real
+# and purely imaginary values, small or tall
+def _tall_fraction(a, d, negative, inverted):
+    # a*d + 1 and d are coprime, so both stay of 200 bits or more
+    n, d = a * d + 1, d
+    if inverted:
+        n, d = d, n
+    return Fraction(-n if negative else n, d)
+
+
+tall_fractions = st.builds(_tall_fraction, st.integers(1, 2**56), st.integers(2**200, 2**256),
+                           st.booleans(), st.booleans())
+any_fractions = st.one_of(small_fractions, tall_fractions)
+wide_coeffs = st.one_of(
+    st.builds(GaussianRational, tall_fractions, tall_fractions),
+    st.builds(GaussianRational, any_fractions),
+    st.builds(lambda b: GaussianRational(0, b), any_fractions),
+).filter(lambda z: not z.is_zero)
+wide_polys = st.dictionaries(monomials, wide_coeffs, max_size=4).map(MultiPoly)
+wide_nonzero = wide_polys.filter(lambda p: not p.is_zero)
+
 
 class TestLexOrder:
     """Monomials are 8-tuples, so the lex chain is native tuple order."""
@@ -199,8 +220,9 @@ class TestDivision:
             rebuilt = rebuilt + q * g
         assert rebuilt == f1
 
-    @given(polys, st.lists(nonzero_polys, min_size=1, max_size=3))
-    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(polys, wide_polys),
+           st.lists(st.one_of(nonzero_polys, wide_nonzero), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
     def test_division_identity(self, f, divisors):
         quotients, remainder = multi_divide(f, divisors)
         rebuilt = MultiPoly.zero()
@@ -213,6 +235,17 @@ class TestDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             multi_divide(X, [MultiPoly.zero()])
+
+    def test_non_monic_tall_divisors_match_textbook(self):
+        tall = GaussianRational(Fraction(3**130, 2**210 + 1), Fraction(-(5**90), 7**75))
+        f = tall * CA**2 * CB**2 + (CA + I_UNIT * CB) ** 3 - tall.conjugate()
+        divisors = [tall * CA * CB - 1, GaussianRational(Fraction(2, 3), -5) * CB**2 + I_UNIT * CA]
+        quotients, remainder = textbook_division(f, divisors)
+        assert all(not q.is_zero for q in quotients) and not remainder.is_zero
+        assert normal_form(f, divisors).terms == remainder.terms
+        got_q, got_r = multi_divide(f, divisors)
+        assert got_r.terms == remainder.terms
+        assert [q.terms for q in got_q] == [q.terms for q in quotients]
 
 
 class TestSPolynomial:
@@ -265,6 +298,33 @@ class TestTextForm:
             parse_poly(text)
 
 
+def textbook_division(f, divisors):
+    """The division algorithm as textbooks state it (Cox, Little & O'Shea,
+    ch. 2, sec. 3), on GaussianRational's public operators only: a step
+    divides by the leading coefficient and subtracts the whole quotient
+    term times the divisor, its leading term included."""
+    work, remainder = dict(f.terms), {}
+    quotients = [{} for _ in divisors]
+    while work:
+        m = max(work)
+        for q, g in zip(quotients, divisors):
+            lm, lc = g.leading_term
+            if mono_divides(lm, m):
+                qm, qc = mono_div(m, lm), work[m] / lc
+                q[qm] = qc
+                for gm, gc in g.terms:
+                    t = mono_mul(qm, gm)
+                    c = work.get(t, GaussianRational(0)) - qc * gc
+                    if c.is_zero:
+                        del work[t]
+                    else:
+                        work[t] = c
+                break
+        else:
+            remainder[m] = work.pop(m)
+    return [MultiPoly(q) for q in quotients], MultiPoly(remainder)
+
+
 # polynomials on three variables, so that divisions actually reduce
 dense_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
     lambda e: e + (0,) * 5
@@ -277,6 +337,8 @@ dense_polys = st.dictionaries(
     dense_monomials, st.one_of(coeffs, special_coeffs), max_size=5
 ).map(MultiPoly)
 dense_nonzero = dense_polys.filter(lambda p: not p.is_zero)
+wide_dense_polys = st.dictionaries(dense_monomials, wide_coeffs, max_size=5).map(MultiPoly)
+wide_dense_nonzero = wide_dense_polys.filter(lambda p: not p.is_zero)
 
 
 def assert_canonical(p):
@@ -307,13 +369,17 @@ class TestTermInvariant:
         with pytest.raises(ValueError, match="bad monomial"):
             p.term_shift(bad, coeff)
 
-    @given(dense_polys, st.lists(dense_nonzero, min_size=1, max_size=3))
-    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(dense_polys, wide_dense_polys),
+           st.lists(st.one_of(dense_nonzero, wide_dense_nonzero), min_size=1, max_size=3))
+    @settings(max_examples=160, deadline=None)
     def test_division(self, f, divisors):
         quotients, remainder = multi_divide(f, divisors)
         for r in quotients + [remainder, normal_form(f, divisors)]:
             assert_canonical(r)
         assert normal_form(f, divisors) == remainder
+        want_q, want_r = textbook_division(f, divisors)
+        assert remainder.terms == want_r.terms
+        assert [q.terms for q in quotients] == [q.terms for q in want_q]
 
     @given(dense_nonzero, dense_nonzero)
     @settings(max_examples=50, deadline=None)
