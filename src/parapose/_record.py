@@ -6,7 +6,6 @@ hook, field-wise ``__eq__``, ``__hash__`` and ``__repr__``, pickling and
 copying through ``__reduce__``, and ``replace``.  Subclasses declare:
 
 ``_defaults``  field -> default value (shared, so immutable values only)
-``_factories`` field -> zero-argument callable building a fresh default
 ``_hidden``    fields left out of ``__eq__``, ``__hash__`` and ``__repr__``
 ``_frozen``    False for records whose fields may be reassigned; those
                are unhashable
@@ -23,7 +22,6 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
     _defaults: dict = {}
-    _factories: dict = {}
     _hidden: tuple = ()
     _frozen = True
 
@@ -53,8 +51,6 @@ class Record:
                 value = kwargs.pop(name)
             elif name in self._defaults:
                 value = self._defaults[name]
-            elif name in self._factories:
-                value = self._factories[name]()
             else:
                 raise TypeError(
                     f"{type(self).__name__}() missing required argument: {name!r}"

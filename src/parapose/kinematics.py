@@ -123,7 +123,6 @@ class SolutionReport(Record):
         "timings_ms",
     )
     _defaults = {"empty_variety": False}
-    _factories = {"diagnostics": dict, "timings_ms": dict}
     _frozen = False
 
 
@@ -132,19 +131,9 @@ def build_ideal(problem: ManipulatorProblem) -> list:
     ca, cb, cc, al = (MultiPoly.variable(i) for i in range(4))
     cca, ccb, ccc, ccal = (MultiPoly.variable(i) for i in range(4, 8))
 
-    s_a = GaussianRational(problem.s_a)
-    s_b = GaussianRational(problem.s_b)
-    s_c = GaussianRational(problem.s_c)
-    l_ab = GaussianRational(problem.l_ab)
-    l_ac = GaussianRational(problem.l_ac)
-
-    f1 = s_a * ca + l_ab * al - s_b * cb - MultiPoly.constant(problem.d_ab)
-    f2 = (
-        s_a * ca
-        + (l_ac * problem.cis_beta) * al
-        - s_c * cc
-        - MultiPoly.constant(problem.d_ac)
-    )
+    p = problem
+    f1 = p.s_a * ca + p.l_ab * al - p.s_b * cb - MultiPoly.constant(p.d_ab)
+    f2 = p.s_a * ca + (p.l_ac * p.cis_beta) * al - p.s_c * cc - MultiPoly.constant(p.d_ac)
     f3 = f1.formal_conjugate()
     f4 = f2.formal_conjugate()
     f5 = ca * cca - 1

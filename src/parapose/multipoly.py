@@ -20,13 +20,13 @@ ring operations and of the division loop are wrapped by the private
 and free of zero coefficients, and checks nothing.
 
 ``normal_form`` and ``multi_divide`` share one reduction loop.  It
-splits each divisor into leading monomial, leading coefficient and tail
-once per call.  Inside the loop coefficients are plain integer parts
+splits each monic divisor into leading monomial and tail once per call.
+Inside the loop coefficients are plain integer parts
 (``gaussrat._parts``), not ``GaussianRational`` objects: f's terms and
 each divisor's tail are converted once per call, and only remainder and
 quotient terms are boxed again on the way out.  At each step the loop
-removes the term being reduced and subtracts the quotient term times the
-divisor's tail only: the leading product would cancel that term exactly,
+removes the term being reduced and subtracts that term times the
+divisor's tail only: the leading product would cancel the term exactly,
 so it is never formed.  Each tail term updates its monomial by
 ``gaussrat._sub_mul_parts`` (``old - qc*dc``, one gcd per part, a
 missing term counting as 0), and a term whose parts both cancel is
@@ -34,12 +34,13 @@ deleted.  All gcd and denominator arithmetic stays in ``gaussrat``.
 Plain sums (``+`` and ``-`` of polynomials) and products of polynomials
 keep the boxed product and sum.
 
-Every division by a leading coefficient is one inverse and then
-products: ``monic``, ``s_polynomial`` and the reduction loop each take
-the inverse once and multiply by it (in the loop, as a boxed product).
-The loop and ``s_polynomial`` skip the inverse for a leading coefficient
-of 1: Groebner basis elements are monic, so reducing modulo a basis never
-divides.
+Only ``monic()`` divides by a leading coefficient.  The reduction loop
+and ``s_polynomial`` work on ``monic()`` copies of their inputs, which
+changes no result: a normal form modulo d equals the normal form modulo
+d/lc(d), and S(a*f, b*g) == S(f, g) for nonzero scalars a and b.
+``multi_divide`` scales each divisor's quotient once by 1/lc(d), so its
+identity holds for the divisors as given.  Groebner basis elements are
+monic already, and ``monic()`` returns them unchanged.
 """
 
 from __future__ import annotations
@@ -250,17 +251,13 @@ class MultiPoly:
         s = exact_operand(coeff)
         if s is None:
             raise TypeError(f"exact scalar required, got {type(coeff).__name__}")
-        coeff = s
-        if coeff.is_zero:
+        if s.is_zero:
             return MultiPoly()
         terms = self._terms
-        if coeff != _ONE:
-            if mono != MONO_ONE:
-                terms = tuple((mono_mul(m, mono), c * coeff) for m, c in terms)
-            else:
-                terms = tuple((m, c * coeff) for m, c in terms)
-        elif mono != MONO_ONE:
+        if mono != MONO_ONE:
             terms = tuple((mono_mul(m, mono), c) for m, c in terms)
+        if s != _ONE:
+            terms = tuple((m, c * s) for m, c in terms)
         return MultiPoly._trusted(terms)
 
     def monic(self) -> "MultiPoly":
@@ -269,7 +266,7 @@ class MultiPoly:
         lc = self.leading_coefficient
         if lc == _ONE:
             return self
-        inv = _inverse(lc)
+        inv = _ONE / lc
         return MultiPoly._trusted(tuple((m, c * inv) for m, c in self._terms))
 
     def formal_conjugate(self) -> "MultiPoly":
@@ -377,40 +374,37 @@ def _add_inplace(acc: dict, mono, coeff: GaussianRational):
 
 
 def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> MultiPoly:
-    """Remainder of f modulo an ordered list of divisors.
+    """Remainder of f modulo an ordered list of divisors, each made monic.
 
     When quotients is a list of one dict per divisor, the quotient terms
-    are recorded there, keyed by monomial in descending order.  The term
-    being reduced is always the largest left, so it only moves down: the
-    remainder and each quotient come out strictly descending.
+    by the monic divisors are recorded there, keyed by monomial in
+    descending order.  The term being reduced is always the largest left,
+    so it only moves down: the remainder and each quotient come out
+    strictly descending.
     """
     heads = []
     for d in divisors:
         if d.is_zero:
             raise ZeroDivisionError("zero polynomial among divisors")
-        terms = d.terms
-        lm, lc = terms[0]
-        # basis elements are monic: no inverse for them
-        heads.append((lm, None if lc == _ONE else _inverse(lc),
-                      tuple((m, _parts(c)) for m, c in terms[1:])))
+        terms = d.monic().terms
+        heads.append((terms[0][0], tuple((m, _parts(c)) for m, c in terms[1:])))
 
     work = {m: _parts(c) for m, c in f.terms}
     remainder = []
     while work:
         mono = max(work)
         coeff = work.pop(mono)
-        for i, (lm, inv, tail) in enumerate(heads):
+        for i, (lm, tail) in enumerate(heads):
             if mono_divides(lm, mono):
                 qm = tuple(map(sub, mono, lm))
-                qc = coeff if inv is None else _parts(_from_parts(coeff) * inv)
                 if quotients is not None:
-                    quotients[i][qm] = _from_parts(qc)
-                # qc * lc == coeff exactly, so the leading product would
-                # cancel the popped term: work -= qc * x^qm * tail, and a
-                # term whose parts both cancel is deleted
+                    quotients[i][qm] = _from_parts(coeff)
+                # the divisor is monic, so the leading product would cancel
+                # the popped term: work -= coeff * x^qm * tail, and a term
+                # whose parts both cancel is deleted
                 for dm, dc in tail:
                     m = tuple(map(add, qm, dm))
-                    c = _sub_mul_parts(work.get(m), qc, dc)
+                    c = _sub_mul_parts(work.get(m), coeff, dc)
                     if c is None:
                         del work[m]
                     else:
@@ -432,7 +426,11 @@ def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
         raise ValueError("empty divisor list")
     quotients = [{} for _ in divisors]
     remainder = _reduce(f, divisors, quotients)
-    return [MultiPoly._trusted(tuple(q.items())) for q in quotients], remainder
+    # q * (g / lc(g)) == (q / lc(g)) * g
+    return [
+        MultiPoly._trusted(tuple(q.items())) * (_ONE / g.leading_coefficient)
+        for q, g in zip(quotients, divisors)
+    ], remainder
 
 
 def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
@@ -441,17 +439,12 @@ def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S(f, g) = (lcm/LT(f)) * f - (lcm/LT(g)) * g."""
-    fm, fc = f.leading_term
-    gm, gc = g.leading_term
+    """S(f, g) = (lcm/LT(f)) * f - (lcm/LT(g)) * g, formed from f.monic()
+    and g.monic() by monomial shifts alone."""
+    f, g = f.monic(), g.monic()
+    fm, gm = f.leading_monomial, g.leading_monomial
     lcm = mono_lcm(fm, gm)
-    return f.term_shift(mono_div(lcm, fm), _inverse(fc)) - g.term_shift(
-        mono_div(lcm, gm), _inverse(gc)
-    )
-
-
-def _inverse(c: GaussianRational) -> GaussianRational:
-    return c if c == _ONE else _ONE / c
+    return f.term_shift(mono_div(lcm, fm), _ONE) - g.term_shift(mono_div(lcm, gm), _ONE)
 
 
 def _sorted_poly(items) -> MultiPoly:

@@ -212,6 +212,16 @@ class TestGroebnerPredicate:
     def test_incomplete_pair_fails(self):
         assert not is_groebner_basis([X * X - 1, X * Y - 1])
 
+    def test_scaled_golden_basis_passes(self, golden_basis1):
+        scales = [GaussianRational(Fraction(-3, 7), 2), GaussianRational(5),
+                  GaussianRational(0, Fraction(1, 3))]
+        scaled = [g * scales[k % 3] for k, g in enumerate(golden_basis1)]
+        assert all(g.leading_coefficient != GaussianRational(1) for g in scaled)
+        assert is_groebner_basis(scaled)
+
+    def test_scaled_incomplete_pair_fails(self):
+        assert not is_groebner_basis([2 * (X * X - 1), GaussianRational(3, 1) * (X * Y - 1)])
+
     def test_singleton_passes(self):
         assert is_groebner_basis([X * Y - 1])
 

@@ -325,6 +325,14 @@ def textbook_division(f, divisors):
     return [MultiPoly(q) for q in quotients], MultiPoly(remainder)
 
 
+def textbook_s_polynomial(f, g):
+    """(lcm/LT(f)) * f - (lcm/LT(g)) * g on public operators only, each
+    cofactor a one-term MultiPoly with coefficient 1/lc."""
+    (fm, fc), (gm, gc) = f.leading_term, g.leading_term
+    lcm = mono_lcm(fm, gm)
+    return MultiPoly({mono_div(lcm, fm): 1 / fc}) * f - MultiPoly({mono_div(lcm, gm): 1 / gc}) * g
+
+
 # polynomials on three variables, so that divisions actually reduce
 dense_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
     lambda e: e + (0,) * 5
@@ -425,3 +433,19 @@ class TestMonicDivisors:
             assert normal_form(f, scaled).is_zero
         probe = CA * CCB + CC * CCAL ** 3 + I_UNIT * AL
         assert normal_form(probe, scaled) == normal_form(probe, golden_basis1)
+
+
+class TestNonMonicSPolynomial:
+    """s_polynomial on inputs whose leading coefficients are not 1."""
+
+    @given(st.one_of(dense_nonzero, wide_dense_nonzero), st.one_of(dense_nonzero, wide_dense_nonzero),
+           st.one_of(coeffs, wide_coeffs), st.one_of(coeffs, wide_coeffs))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_cancel(self, f, g, a, b):
+        # S(a*f, b*g) == S(f, g) for nonzero scalars a and b
+        assert s_polynomial(f * a, g * b).terms == s_polynomial(f, g).terms
+
+    @given(wide_dense_nonzero, wide_dense_nonzero)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_textbook(self, f, g):
+        assert s_polynomial(f, g).terms == textbook_s_polynomial(f, g).terms
