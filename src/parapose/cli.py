@@ -172,13 +172,7 @@ def report_to_json(report: SolutionReport, *, emit_basis: bool = False) -> dict:
             for t in report.solutions
         ],
         "postures": [
-            {
-                "theta_a": p.theta_a,
-                "theta_b": p.theta_b,
-                "theta_c": p.theta_c,
-                "alpha": p.alpha,
-            }
-            for p in report.postures
+            {name: getattr(p, name) for name in p.__slots__} for p in report.postures
         ],
         "diagnostics": dict(report.diagnostics),
     }

@@ -130,25 +130,23 @@ def reciprocal(f: UniPoly) -> UniPoly:
     return UniPoly(list(reversed(f.coefficients)))
 
 
-def _is_palindrome(f: UniPoly, conjugate: bool) -> bool:
-    """True iff the coefficients equal their reversed list, conjugated or not."""
+def _require_nonzero_constant(f: UniPoly):
     _require_nonzero(f)
-    coeffs = f.coefficients
-    if coeffs[0].is_zero:
+    if f.coefficients[0].is_zero:
         # a root at the origin has its inverse at infinity
         raise ValueError("constant term must be nonzero")
-    mirror = coeffs[::-1]
-    return coeffs == (tuple(c.conjugate() for c in mirror) if conjugate else mirror)
 
 
 def is_self_inversive(f: UniPoly) -> bool:
-    """True iff c_i = conj(c_{n-i}) for all i (exact comparison)."""
-    return _is_palindrome(f, conjugate=True)
+    """True iff f equals its conjugate reciprocal (exact comparison)."""
+    _require_nonzero_constant(f)
+    return f == conjugate_reciprocal(f)
 
 
 def is_self_reciprocal(f: UniPoly) -> bool:
-    """True iff c_i = c_{n-i} for all i (exact comparison)."""
-    return _is_palindrome(f, conjugate=False)
+    """True iff f equals its reciprocal (exact comparison)."""
+    _require_nonzero_constant(f)
+    return f == reciprocal(f)
 
 
 def harmonic_conjugate_check(z: float, z_prime: float, tol: float = DEFAULT_TOL) -> bool:

@@ -20,7 +20,7 @@ from ._record import Record
 from .gaussrat import GaussianRational, exact_rational
 from .groebner import buchberger
 from .inversive import UniPoly, is_self_reciprocal
-from .multipoly import MultiPoly, N_VARS, VAR_NAMES
+from .multipoly import BAR_PARTNER, MultiPoly, N_VARS, VAR_NAMES
 from .rootfind import find_roots
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "residual_max",
     "solve_posture",
 ]
-
-# (direction, formal conjugate) variable index pairs: a, b, c, alpha
-_VAR_PAIRS = ((0, 4), (1, 5), (2, 6), (3, 7))
 
 DEFAULT_PHYSICAL_TOL = 1e-6
 
@@ -99,7 +96,7 @@ class PostureAngles(Record):
     __slots__ = ("theta_a", "theta_b", "theta_c", "alpha")
 
     def _check(self):
-        for name in ("theta_a", "theta_b", "theta_c", "alpha"):
+        for name in self.__slots__:
             v = getattr(self, name)
             if not (math.isfinite(v) and -180.0 < v <= 180.0):
                 raise ValueError(f"{name}: angle {v!r} outside (-180, 180]")
@@ -152,7 +149,8 @@ def _extend(tails, root: complex) -> SolutionTuple:
 
 
 def _is_physical(coords) -> bool:
-    for u_idx, bar_idx in _VAR_PAIRS:
+    # the directions a, b, c, alpha are the first four variables
+    for u_idx, bar_idx in enumerate(BAR_PARTNER[:4]):
         u = coords[u_idx]
         # written so that a NaN coordinate fails
         if not abs(coords[bar_idx] - u.conjugate()) <= DEFAULT_PHYSICAL_TOL:

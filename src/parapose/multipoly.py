@@ -120,11 +120,8 @@ class MultiPoly:
             mono = _check_mono(mono)
             if not isinstance(coeff, GaussianRational):
                 coeff = GaussianRational(coeff)
-            c = acc.get(mono, _ZERO) + coeff
-            if c.is_zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = c
+            if coeff:
+                _add_inplace(acc, mono, coeff)
         _set_terms(self, tuple(sorted(acc.items(), reverse=True)))
 
     def __setattr__(self, name, value):
@@ -139,10 +136,6 @@ class MultiPoly:
         return p
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
 
     @classmethod
     def constant(cls, c) -> "MultiPoly":

@@ -23,8 +23,11 @@ class PolyParseError(ValueError):
     pass
 
 
+# longest names first, so CCA is not read as CC followed by A
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>CCAL|CCA|CCB|CCC|CA|CB|CC|AL|I)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>"
+    + "|".join(sorted(VAR_NAMES, key=len, reverse=True))
+    + r"|I)|(?P<op>[-+*/^()]))"
 )
 
 

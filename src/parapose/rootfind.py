@@ -167,34 +167,28 @@ def _pair_conjugates(roots):
 
 
 def _cluster(roots):
-    """Merge roots within CLUSTER_RADIUS times the larger modulus of the
-    pair into repeated roots."""
+    """Merge clusters of roots into repeated roots at their centroid.
+
+    Roots within CLUSTER_RADIUS times the larger modulus of the pair are
+    linked, and links are transitive: a chain of linked roots is one
+    cluster even where its ends lie farther apart.  A link gives the
+    second root's whole cluster the first root's label.
+    """
     n = len(roots)
-    group = list(range(n))
-
-    def find(a):
-        while group[a] != a:
-            group[a] = group[group[a]]
-            a = group[a]
-        return a
-
+    label = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
             scale = max(abs(roots[i]), abs(roots[j]))
             if abs(roots[i] - roots[j]) <= CLUSTER_RADIUS * scale:
-                group[find(i)] = find(j)
+                old = label[j]
+                label = [label[i] if k == old else k for k in label]
 
-    members: dict = {}
+    out, mult = [], []
     for i in range(n):
-        members.setdefault(find(i), []).append(i)
-
-    out = [0j] * n
-    mult = [1] * n
-    for idx_list in members.values():
-        centroid = sum(roots[i] for i in idx_list) / len(idx_list)
-        for i in idx_list:
-            out[i] = centroid
-            mult[i] = len(idx_list)
+        # each cluster is summed in index order, so all its members agree
+        group = [roots[k] for k in range(n) if label[k] == label[i]]
+        out.append(sum(group) / len(group))
+        mult.append(len(group))
     return out, mult
 
 

@@ -78,7 +78,8 @@ def render_posture(
         )
 
     for name, u, v in (("B", p_b_via_a, p_b_via_b), ("C", p_c_via_a, p_c_via_c)):
-        if abs(u - v) * scale > VERTEX_TOL:
+        # written so that a NaN fails
+        if not abs(u - v) * scale <= VERTEX_TOL:
             raise VertexMismatchError(
                 f"platform vertex {name} differs between routes by "
                 f"{abs(u - v) * scale:.3e} drawing units"

@@ -150,7 +150,7 @@ class TestLeadingTerm:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            MultiPoly.zero().leading_term
+            MultiPoly().leading_term
 
 
 class TestArithmetic:
@@ -184,6 +184,16 @@ class TestArithmetic:
         assert all(not c.is_zero for _, c in p.terms)
         assert p == Y
 
+    def test_constructor_sums_repeats_and_drops_zeros(self):
+        x2, y, z = mono(CA=2), mono(CB=1), mono(CC=1)
+        p = MultiPoly([
+            (x2, 3), (y, 0), (MONO_ONE, Fraction(1, 2)), (x2, -3),
+            (z, I_UNIT), (MONO_ONE, Fraction(1, 2)), (y, 2), (y, -2), (y, 5),
+        ])
+        assert all(not c.is_zero for _, c in p.terms)
+        assert p == 5 * Y + I_UNIT * CC + 1
+        assert MultiPoly({x2: 0, y: GaussianRational(0)}).is_zero
+
     def test_terms_strictly_descending(self):
         p = (X + Y + 1) * (X * Y + CC)
         ms = [m for m, _ in p.terms]
@@ -194,7 +204,7 @@ class TestArithmetic:
             X.terms = ()
 
     def test_pickle_and_copy(self):
-        for p in ((X + Y + 1) * (X * Y + CC) * I_UNIT, MultiPoly.zero()):
+        for p in ((X + Y + 1) * (X * Y + CC) * I_UNIT, MultiPoly()):
             for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
                 assert clone == p and clone.terms == p.terms
 
@@ -215,7 +225,7 @@ class TestDivision:
         f1 = ideal1[0]
         quotients, remainder = multi_divide(f1, golden_basis1)
         assert remainder.is_zero
-        rebuilt = MultiPoly.zero()
+        rebuilt = MultiPoly()
         for q, g in zip(quotients, golden_basis1):
             rebuilt = rebuilt + q * g
         assert rebuilt == f1
@@ -225,7 +235,7 @@ class TestDivision:
     @settings(max_examples=80, deadline=None)
     def test_division_identity(self, f, divisors):
         quotients, remainder = multi_divide(f, divisors)
-        rebuilt = MultiPoly.zero()
+        rebuilt = MultiPoly()
         for q, g in zip(quotients, divisors):
             rebuilt = rebuilt + q * g
         assert rebuilt + remainder == f
@@ -234,7 +244,7 @@ class TestDivision:
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            multi_divide(X, [MultiPoly.zero()])
+            multi_divide(X, [MultiPoly()])
 
     def test_non_monic_tall_divisors_match_textbook(self):
         tall = GaussianRational(Fraction(3**130, 2**210 + 1), Fraction(-(5**90), 7**75))
@@ -274,7 +284,7 @@ class TestTextForm:
         assert parse_poly(p.to_text()) == p
 
     def test_zero(self):
-        assert MultiPoly.zero().to_text() == "0"
+        assert MultiPoly().to_text() == "0"
         assert parse_poly("0").is_zero
 
     def test_grammar_examples(self):

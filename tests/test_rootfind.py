@@ -195,6 +195,17 @@ class TestFindRoots:
         for z, want in zip(rs.roots, (6e-8, 1e-7, 1.0)):
             assert abs(z - want) <= 1e-12 * want
 
+    def test_cluster_is_transitive(self):
+        # a~b and b~c lie within the radius, a~c does not: one cluster of three
+        a, far = 1.0 + 0j, 5.0 + 0j
+        b = a + 0.8 * rootfind.CLUSTER_RADIUS
+        c = b + 0.8 * rootfind.CLUSTER_RADIUS
+        assert abs(c - a) > rootfind.CLUSTER_RADIUS * abs(c)
+        roots, mult = rootfind._cluster([c, far, a, b])
+        centroid = (c + a + b) / 3
+        assert mult == [3, 1, 3, 3]
+        assert roots == [centroid, far, centroid, centroid]
+
     def test_determinism(self):
         a = find_roots(H8)
         b = find_roots(H8)

@@ -5,13 +5,14 @@ used before it wrote SVG text directly; the documents must not change.
 """
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from parapose.cli import parse_problem
 from parapose.kinematics import solve_posture
-from parapose.svgdraw import render_posture
+from parapose.svgdraw import VertexMismatchError, render_posture
 
 from conftest import PROBLEMS_DIR
 
@@ -73,3 +74,22 @@ def test_markup_in_title_escaped(physical_postures):
     svg = render_posture(problem, t, posture, title=MARKUP_TITLE)
     assert digest(svg) == MARKUP_DIGEST
     assert legend_title(svg) == MARKUP_TITLE
+
+
+@pytest.mark.parametrize(
+    "index, value",
+    [
+        # every point built from cis_a is NaN, so both vertex gaps are NaN
+        (0, complex(math.nan, 0.0)),
+        # an infinite extent makes the scale 0, and inf * 0 is NaN
+        (3, complex(math.inf, 0.0)),
+    ],
+    ids=["nan-cis_a", "inf-cis_alpha"],
+)
+def test_non_finite_coordinate_is_a_vertex_mismatch(physical_postures, index, value):
+    problem, pairs = physical_postures["example1"]
+    t, posture = pairs[0]
+    coords = list(t.coords)
+    coords[index] = value
+    with pytest.raises(VertexMismatchError):
+        render_posture(problem, t.replace(coords=tuple(coords)), posture)
