@@ -1,4 +1,4 @@
-"""Slotted record base for the package's plain data classes.
+"""Immutable slotted values: the one base of every value type in the package.
 
 A record's fields are its ``__slots__``, in order.  The base provides a
 positional/keyword ``__init__`` with per-field defaults, a validation
@@ -7,14 +7,18 @@ copying through ``__reduce__``, and ``replace``.  Subclasses declare:
 
 ``_defaults``  field -> default value (shared, so immutable values only)
 ``_hidden``    fields left out of ``__eq__``, ``__hash__`` and ``__repr__``
-``_frozen``    False for records whose fields may be reassigned; those
-               are unhashable
 
-Frozen records refuse assignment; ``_check`` may still coerce fields in
-place with ``object.__setattr__``.
+Every record refuses assignment and deletion; ``_check`` may still
+coerce fields in place with ``object.__setattr__``.  A record hashes by
+its compared fields, so one that holds a dict is unhashable.  Every
+value type of the package is a record, the Q(i) numbers of ``gaussrat``
+and the polynomials of ``multipoly`` included; their arithmetic builds
+results past ``__init__`` through the slot descriptors' ``__set__``.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 _set = object.__setattr__
 
@@ -23,15 +27,12 @@ class Record:
     __slots__ = ()
     _defaults: dict = {}
     _hidden: tuple = ()
-    _frozen = True
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._compared = tuple(f for f in cls.__slots__ if f not in cls._hidden)
-        if not cls._frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
+        # the compared field itself for one field, else their tuple
+        cls._key = attrgetter(*cls._compared)
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -66,16 +67,14 @@ class Record:
     def _check(self):
         """Validation hook, run at the end of ``__init__``."""
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._compared)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)

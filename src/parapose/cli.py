@@ -312,9 +312,11 @@ def _parse_flags(flags: dict, tokens: list):
             value = True
         elif not eq:
             # a next argument that looks like a flag is not a value; "-" is
-            value = next(tokens, None)
-            if value is None or (value.startswith("-") and value != "-"):
-                raise _UsageError(f"{flag} expects a value")
+            value = next(tokens, "")
+            if value.startswith("-") and value != "-":
+                value = ""
+        if not value:  # an empty value counts as a missing one
+            raise _UsageError(f"{flag} expects a value")
         values[flag] = value
     if values["--input"] is None:
         raise _UsageError("--input is required")

@@ -16,12 +16,13 @@ text (:func:`exact_operand`, so ``z + "1"`` is a TypeError), and
 :func:`parse_rational`, the reader of text and JSON, with every
 rejection a ValueError.
 
-The class is a hand-written immutable class with ``__slots__ = ("re",
-"im")``.  The field operators build their results with the private
-``_make(re, im)``, which takes two ``Fraction`` values as they are and
-does not coerce or check them.  Products with a real (or zero) operand
-use two ``Fraction`` multiplications.  Any other product is normalised
-once per part: both parts are put over the product D of the four
+:class:`GaussianRational` is a ``_record.Record`` with the fields
+``re`` and ``im``; its ``_check`` applies the exact-scalar rule.  The
+field operators build their results with the private ``_make(re, im)``,
+which takes two ``Fraction`` values as they are and does not coerce or
+check them.  Products with a real (or zero) operand use two
+``Fraction`` multiplications.  Any other product is normalised once per
+part: both parts are put over the product D of the four
 component denominators, and each is built by one ``Fraction(n, D)``,
 whose single gcd gives the canonical value, instead of four ``Fraction``
 products and two sums that each reduce their own result.
@@ -44,6 +45,8 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd
+
+from ._record import Record
 
 __all__ = [
     "GaussianRational",
@@ -111,31 +114,15 @@ def parse_rational(text) -> Fraction:
 _ZERO = Fraction(0)
 
 
-class GaussianRational:
+class GaussianRational(Record):
     """An exact complex number re + im*i with rational components."""
 
     __slots__ = ("re", "im")
+    _defaults = {"re": _ZERO, "im": _ZERO}
 
-    def __init__(self, re=_ZERO, im=_ZERO):
-        _set_re(self, exact_rational(re))
-        _set_im(self, exact_rational(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.re, self.im) == (other.re, other.im)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __reduce__(self):
-        return (GaussianRational, (self.re, self.im))
+    def _check(self):
+        _set_re(self, exact_rational(self.re))
+        _set_im(self, exact_rational(self.im))
 
     # -- field operations -------------------------------------------------
 
@@ -259,7 +246,7 @@ class GaussianRational:
 
 
 _new = object.__new__
-# slot descriptors: they store a field without the frozen __setattr__
+# slot descriptors: they store a field past the record's __setattr__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
 

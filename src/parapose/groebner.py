@@ -69,7 +69,6 @@ class BuchbergerStats(Record):
         "pairs_dropped_bk",
     )
     _defaults = dict.fromkeys(__slots__, 0)
-    _frozen = False
 
 
 class GroebnerBasis(Record):
@@ -91,7 +90,7 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
     pair budget DEFAULT_PAIR_LIMIT guards against runaway inputs and
     raises PairLimitExceeded with progress counters when exhausted.
     """
-    stats = BuchbergerStats()
+    counts = dict.fromkeys(BuchbergerStats.__slots__, 0)
     polys: list = []  # every element ever installed; pairs index into it
     lead: list = []
     active: list = []  # indices of the current basis G
@@ -102,7 +101,7 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
         k = len(polys)
         polys.append(h)
         lead.append(h.leading_monomial)
-        _update(lead, active, pairs, k, stats)
+        _update(lead, active, pairs, k, counts)
 
     # each generator enters reduced modulo G, so G stays minimal
     for g in generators:
@@ -119,32 +118,32 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
         pairs.remove(pair)
         _, i, j = pair
 
-        stats.pairs_reduced += 1
-        if stats.pairs_reduced > DEFAULT_PAIR_LIMIT:
-            raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, stats)
+        counts["pairs_reduced"] += 1
+        if counts["pairs_reduced"] > DEFAULT_PAIR_LIMIT:
+            raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, BuchbergerStats(**counts))
 
         remainder = normal_form(
             s_polynomial(polys[i], polys[j]), [polys[t] for t in active]
         )
         if remainder.is_zero:
-            stats.zero_reductions += 1
+            counts["zero_reductions"] += 1
             continue
-        stats.elements_added += 1
+        counts["elements_added"] += 1
         install(remainder)
 
     reduced = _inter_reduce([polys[t] for t in active])
-    return GroebnerBasis(tuple(reduced), stats=stats)
+    return GroebnerBasis(tuple(reduced), stats=BuchbergerStats(**counts))
 
 
-def _update(lead, active, pairs, k, stats) -> None:
+def _update(lead, active, pairs, k, counts) -> None:
     """Gebauer-Moeller update of the basis G and pair set B for element k.
 
-    lead[k] must be irreducible modulo the leading monomials of G; G and
-    B are changed in place.
+    lead[k] must be irreducible modulo the leading monomials of G; G, B
+    and the BuchbergerStats field counts are changed in place.
     """
     lm = lead[k]
     new = [(mono_lcm(lead[t], lm), t) for t in active]
-    stats.pairs_considered += len(new)
+    counts["pairs_considered"] += len(new)
 
     # criteria M and F: drop a new pair whose lcm another new pair's lcm
     # divides (properly, or equally and still pending or already kept).
@@ -159,7 +158,7 @@ def _update(lead, active, pairs, k, stats) -> None:
         ):
             kept.append((lcm, t, coprime))
         else:
-            stats.pairs_dropped_mf += 1
+            counts["pairs_dropped_mf"] += 1
 
     # criterion B_k: an old pair whose lcm lm divides is redundant, unless
     # its lcm is also the lcm of one of its elements with the new one
@@ -170,14 +169,14 @@ def _update(lead, active, pairs, k, stats) -> None:
             and lcm != mono_lcm(lead[i], lm)
             and lcm != mono_lcm(lead[j], lm)
         ):
-            stats.pairs_dropped_bk += 1
+            counts["pairs_dropped_bk"] += 1
         else:
             old.append((lcm, i, j))
     pairs[:] = old
 
     for lcm, t, coprime in kept:
         if coprime:
-            stats.pairs_dropped_coprime += 1
+            counts["pairs_dropped_coprime"] += 1
         else:
             pairs.append((lcm, t, k))
 

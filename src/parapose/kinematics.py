@@ -120,7 +120,6 @@ class SolutionReport(Record):
         "timings_ms",
     )
     _defaults = {"empty_variety": False}
-    _frozen = False
 
 
 def build_ideal(problem: ManipulatorProblem) -> list:

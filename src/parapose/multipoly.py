@@ -6,18 +6,22 @@ CA > CB > CC > AL > CCA > CCB > CCC > CCAL.  Monomials are dense
 8-tuples of exponents, so lex comparison is native tuple comparison and
 the variable order is immutable by construction.
 
-Polynomials are immutable, stored as term lists strictly descending in
-lex order with no zero coefficients, and print through a small
-canonical text grammar (e.g. ``CCAL^4 - 213/50*CCAL^3 + 1`` or
+Polynomials are immutable ``_record.Record`` values.  Their one field,
+``terms``, is a tuple of ``(monomial, coefficient)`` pairs strictly
+descending in lex order with no zero coefficients.  They print through
+a small canonical text grammar (e.g. ``CCAL^4 - 213/50*CCAL^3 + 1`` or
 ``(-14080/2017+2880/2017*I)*CCAL^3 + CCC``).  The parser for that
 grammar, ``parse_poly``, lives in ``parapose.polytext`` and is loaded
 when one of its names is first read from this module.
 
-The public constructors validate and normalise their input.  Results of
-ring operations and of the division loop are wrapped by the private
-``MultiPoly._trusted(terms)`` instead, which takes a tuple of
-``(monomial, coefficient)`` pairs that is already strictly descending
-and free of zero coefficients, and checks nothing.
+The public constructors validate and normalise their input (in
+``_check``: repeated monomials are summed and zero coefficients
+dropped).  Results of ring operations and of the division loop are
+wrapped by the private ``MultiPoly._trusted(terms)`` instead, which
+takes a tuple of ``(monomial, coefficient)`` pairs that is already
+strictly descending and free of zero coefficients, and checks nothing.
+Exponents, variable indices and powers are of type ``int`` exactly: a
+bool is a ValueError, as a bool scalar is under the exact-scalar rule.
 
 ``normal_form`` and ``multi_divide`` share one reduction loop.  It
 splits each monic divisor into leading monomial and tail once per call.
@@ -45,9 +49,10 @@ monic already, and ``monic()`` returns them unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from operator import add, le, sub
 
+from ._record import Record
 from .gaussrat import GaussianRational, _from_parts, _parts, _sub_mul_parts, exact_operand
 
 __all__ = [
@@ -103,18 +108,21 @@ def mono_lcm(m1, m2):
 
 
 def _check_mono(m):
-    if len(m) != N_VARS or any(not isinstance(e, int) or e < 0 for e in m):
+    if len(m) != N_VARS or any(type(e) is not int or e < 0 for e in m):
         raise ValueError(f"bad monomial {m!r}")
     return tuple(m)
 
 
-class MultiPoly:
-    """Immutable multivariate polynomial with lex-sorted terms."""
+class MultiPoly(Record):
+    """Immutable multivariate polynomial with lex-sorted terms, built from
+    ``(monomial, coefficient)`` pairs or a mapping, in any order."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("terms",)
+    _defaults = {"terms": ()}
 
-    def __init__(self, terms: Mapping | Iterable = ()):
+    def _check(self):
         acc: dict = {}
+        terms = self.terms
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
             mono = _check_mono(mono)
@@ -123,9 +131,6 @@ class MultiPoly:
             if coeff:
                 _add_inplace(acc, mono, coeff)
         _set_terms(self, tuple(sorted(acc.items(), reverse=True)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def _trusted(cls, terms: tuple) -> "MultiPoly":
@@ -143,7 +148,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, index: int) -> "MultiPoly":
-        if not 0 <= index < N_VARS:
+        if type(index) is not int or not 0 <= index < N_VARS:
             raise ValueError(f"variable index {index} out of range")
         mono = tuple(1 if i == index else 0 for i in range(N_VARS))
         return cls(((mono, _ONE),))
@@ -151,19 +156,14 @@ class MultiPoly:
     # -- inspection ----------------------------------------------------------
 
     @property
-    def terms(self):
-        """Term list, strictly descending in lex order."""
-        return self._terms
-
-    @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     @property
     def leading_term(self):
-        if not self._terms:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self._terms[0]
+        return self.terms[0]
 
     @property
     def leading_monomial(self):
@@ -175,7 +175,7 @@ class MultiPoly:
 
     def coefficient(self, mono) -> GaussianRational:
         mono = tuple(mono)
-        for m, c in self._terms:
+        for m, c in self.terms:
             if m == mono:
                 return c
         return _ZERO
@@ -188,8 +188,8 @@ class MultiPoly:
             if s is None:
                 return NotImplemented
             other = MultiPoly.constant(s)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms:
+        acc = dict(self.terms)
+        for mono, coeff in other.terms:
             _add_inplace(acc, mono, -coeff if negate else coeff)
         return _sorted_poly(acc.items())
 
@@ -205,13 +205,13 @@ class MultiPoly:
         return -(self - other)
 
     def __neg__(self):
-        return MultiPoly._trusted(tuple((m, -c) for m, c in self._terms))
+        return MultiPoly._trusted(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             acc: dict = {}
-            for m1, c1 in self._terms:
-                for m2, c2 in other._terms:
+            for m1, c1 in self.terms:
+                for m2, c2 in other.terms:
                     _add_inplace(acc, mono_mul(m1, m2), c1 * c2)
             return _sorted_poly(acc.items())
         s = exact_operand(other)
@@ -222,7 +222,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = MultiPoly.constant(_ONE)
         base = self
@@ -246,7 +246,7 @@ class MultiPoly:
             raise TypeError(f"exact scalar required, got {type(coeff).__name__}")
         if s.is_zero:
             return MultiPoly()
-        terms = self._terms
+        terms = self.terms
         if mono != MONO_ONE:
             terms = tuple((mono_mul(m, mono), c) for m, c in terms)
         if s != _ONE:
@@ -260,12 +260,12 @@ class MultiPoly:
         if lc == _ONE:
             return self
         inv = _ONE / lc
-        return MultiPoly._trusted(tuple((m, c * inv) for m, c in self._terms))
+        return MultiPoly._trusted(tuple((m, c * inv) for m, c in self.terms))
 
     def formal_conjugate(self) -> "MultiPoly":
         """Swap each variable with its barred partner, conjugating coefficients."""
         out = []
-        for mono, coeff in self._terms:
+        for mono, coeff in self.terms:
             swapped = tuple(mono[BAR_PARTNER[i]] for i in range(N_VARS))
             out.append((swapped, coeff.conjugate()))
         return _sorted_poly(out)
@@ -273,7 +273,7 @@ class MultiPoly:
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Numeric evaluation at an 8-vector of complex values."""
         total = 0j
-        for mono, coeff in self._terms:
+        for mono, coeff in self.terms:
             v = complex(coeff)
             for i, e in enumerate(mono):
                 if e:
@@ -281,29 +281,16 @@ class MultiPoly:
             total += v
         return total
 
-    # -- equality / hashing ----------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
-
-    def __reduce__(self):
-        return (MultiPoly, (self._terms,))
-
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.terms)
 
     # -- text form ----------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         chunks = []
-        for mono, coeff in self._terms:
+        for mono, coeff in self.terms:
             sign, body = _term_text(mono, coeff)
             if not chunks:
                 chunks.append(body if sign > 0 else "-" + body)
@@ -317,8 +304,8 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()})"
 
 
-# the slot descriptor stores terms past the immutable __setattr__
-_set_terms = MultiPoly._terms.__set__
+# the slot descriptor stores terms past the record's __setattr__
+_set_terms = MultiPoly.terms.__set__
 
 
 def _mono_text(mono) -> str:

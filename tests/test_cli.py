@@ -723,6 +723,23 @@ class TestFlags:
         assert main(argv) == 0
         assert last.exists() and not first.exists()
 
+    @pytest.mark.parametrize("form", ["equals", "separate"])
+    @pytest.mark.parametrize("flag", ["--input", "--output", "--svg-dir"])
+    def test_empty_value_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, form):
+        monkeypatch.chdir(tmp_path)
+        flags = {"--input": str(EXAMPLE1), "--output": "r.json", "--svg-dir": "svg"}
+        flags[flag] = ""
+        if form == "separate":
+            argv = [part for item in flags.items() for part in item]
+        else:
+            argv = [f"{name}={value}" for name, value in flags.items()]
+        assert main(["solve", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: parapose solve")
+        assert captured.err.splitlines()[-1] == f"parapose solve: error: {flag} expects a value"
+        assert list(tmp_path.iterdir()) == []
+
     def test_dash_value_needs_equals(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["solve", "--input", str(EXAMPLE1), "--output", "-r.json"]) == 1

@@ -203,6 +203,18 @@ class TestArithmetic:
         with pytest.raises(AttributeError):
             X.terms = ()
 
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(ValueError, match="bad monomial"):
+            MultiPoly({(True,) + MONO_ONE[1:]: 1})
+
+    def test_bool_variable_index_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.variable(True)
+
+    def test_bool_power_rejected(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            X ** True
+
     def test_pickle_and_copy(self):
         for p in ((X + Y + 1) * (X * Y + CC) * I_UNIT, MultiPoly()):
             for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
