@@ -27,14 +27,17 @@ component denominators, and each is built by one ``Fraction(n, D)``,
 whose single gcd gives the canonical value, instead of four ``Fraction``
 products and two sums that each reduce their own result.
 
-The reduction loop of ``multipoly`` runs on integer parts instead of
-boxed values: ``_parts(z)`` is ``(re_num, re_den, im_num, im_den)``, each
-part in lowest terms over a positive denominator (exactly the normal
-form of the two Fractions), and ``_from_parts`` boxes such a tuple again.
-``_sub_mul_parts(acc, x, y)`` is the loop's step ``acc - x*y`` on parts:
-each part goes over its own denominator in ``acc`` times that D and is
-reduced by one gcd, with no object built but the result tuple.  This
-module is the only one that knows how a Q(i) value is normalised.
+The reduction loop of ``multipoly``, and ``groebner.buchberger`` around
+it, run on integer parts instead of boxed values: ``_parts(z)`` is
+``(re_num, re_den, im_num, im_den)``, each part in lowest terms over a
+positive denominator (exactly the normal form of the two Fractions), and
+``_from_parts`` boxes such a tuple again.  ``_sub_mul_parts(acc, x, y)``
+is the loop's step ``acc - x*y`` on parts: each part goes over its own
+denominator in ``acc`` times that D and is reduced by one gcd, with no
+object built but the result tuple.  ``_neg_inverse_parts(z)`` is -1/z on
+parts, so that ``_sub_mul_parts(None, x, _neg_inverse_parts(z))`` is x/z:
+the one division by a leading coefficient.  This module is the only one
+that knows how a Q(i) value is normalised.
 
 Error messages show a rejected value by :func:`_shown`, its repr cut to
 a fixed length, so one bad value gives one short error line.
@@ -308,6 +311,21 @@ def _sub_mul_parts(acc, x: tuple, y: tuple):
     if en or fn:
         return (en, ed, fn, fd)
     return None
+
+
+def _neg_inverse_parts(t: tuple) -> tuple:
+    """-1/z on the parts t of a nonzero z, so that
+    ``_sub_mul_parts(None, x, _neg_inverse_parts(t))`` is x/z.
+
+    -1/z = (-a + b*i) / (a^2 + b^2): over N = an^2*bd^2 + bn^2*ad^2 the
+    parts are -an*ad*bd^2/N and bn*bd*ad^2/N, each brought to lowest
+    terms by one gcd (N is positive, so each denominator stays positive).
+    """
+    an, ad, bn, bd = t
+    n = an * an * bd * bd + bn * bn * ad * ad
+    re, im = -an * ad * bd * bd, bn * bd * ad * ad
+    g, h = gcd(re, n), gcd(im, n)
+    return (re // g, n // g, im // h, n // h)
 
 
 def exact_operand(value):

@@ -11,6 +11,17 @@ and their S-polynomials reduced modulo the current basis.  At the end
 the basis is tail-reduced and sorted, so the result is the unique
 reduced monic basis of the ideal: independent of generator order,
 generator scaling and selection details.
+
+The whole run stays in the working form of ``multipoly``'s reduction
+loop.  Each generator is converted to integer parts once; every basis
+element is a head, (leading monomial, tail in parts) with the leading 1
+not stored, made monic once when it is installed, by ``multipoly``'s one
+division rule.  Generator entry, pair reduction and the final tail
+reduction call the one reduction loop and the one S-polynomial rule on
+heads, and compare parts tuples, so no ``GaussianRational`` or
+``MultiPoly`` is built between the generators and the result: only the
+reduced basis is boxed, for ``GroebnerBasis``.  ``is_groebner_basis``
+converts its input to heads once in the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +31,15 @@ from collections.abc import Iterable, Sequence
 from ._record import Record
 from .multipoly import (
     MultiPoly,
+    _box_head,
+    _head,
+    _monic_head,
+    _reduce,
+    _s_work,
+    _to_work,
     mono_divides,
     mono_lcm,
     mono_mul,
-    normal_form,
-    s_polynomial,
 )
 
 __all__ = [
@@ -91,24 +106,20 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
     raises PairLimitExceeded with progress counters when exhausted.
     """
     counts = dict.fromkeys(BuchbergerStats.__slots__, 0)
-    polys: list = []  # every element ever installed; pairs index into it
-    lead: list = []
+    heads: list = []  # every element ever installed; pairs index into it
     active: list = []  # indices of the current basis G
     pairs: list = []  # the pair set B as (lcm, i, j) with i < j
 
-    def install(h: MultiPoly):
-        h = h.monic()
-        k = len(polys)
-        polys.append(h)
-        lead.append(h.leading_monomial)
-        _update(lead, active, pairs, k, counts)
+    def install(remainder: tuple):
+        heads.append(_monic_head(remainder))
+        _update(heads, active, pairs, len(heads) - 1, counts)
 
     # each generator enters reduced modulo G, so G stays minimal
     for g in generators:
         if g is None or g.is_zero:
             continue
-        h = normal_form(g, [polys[t] for t in active])
-        if not h.is_zero:
+        h = _reduce(_to_work(g), [heads[t] for t in active])
+        if h:
             install(h)
     if not active:
         raise ValueError("no nonzero generators")
@@ -122,27 +133,25 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
         if counts["pairs_reduced"] > DEFAULT_PAIR_LIMIT:
             raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, BuchbergerStats(**counts))
 
-        remainder = normal_form(
-            s_polynomial(polys[i], polys[j]), [polys[t] for t in active]
-        )
-        if remainder.is_zero:
+        remainder = _reduce(_s_work(heads[i], heads[j]), [heads[t] for t in active])
+        if not remainder:
             counts["zero_reductions"] += 1
             continue
         counts["elements_added"] += 1
         install(remainder)
 
-    reduced = _inter_reduce([polys[t] for t in active])
-    return GroebnerBasis(tuple(reduced), stats=BuchbergerStats(**counts))
+    reduced = _inter_reduce([heads[t] for t in active])
+    return GroebnerBasis(tuple(map(_box_head, reduced)), stats=BuchbergerStats(**counts))
 
 
-def _update(lead, active, pairs, k, counts) -> None:
+def _update(heads, active, pairs, k, counts) -> None:
     """Gebauer-Moeller update of the basis G and pair set B for element k.
 
-    lead[k] must be irreducible modulo the leading monomials of G; G, B
-    and the BuchbergerStats field counts are changed in place.
+    The leading monomial of heads[k] must be irreducible modulo those of
+    G; G, B and the BuchbergerStats field counts are changed in place.
     """
-    lm = lead[k]
-    new = [(mono_lcm(lead[t], lm), t) for t in active]
+    lm = heads[k][0]
+    new = [(mono_lcm(heads[t][0], lm), t) for t in active]
     counts["pairs_considered"] += len(new)
 
     # criteria M and F: drop a new pair whose lcm another new pair's lcm
@@ -151,7 +160,7 @@ def _update(lead, active, pairs, k, counts) -> None:
     # the pairs they dominate, and dropped afterwards.
     kept = []
     for pos, (lcm, t) in enumerate(new):
-        coprime = lcm == mono_mul(lead[t], lm)
+        coprime = lcm == mono_mul(heads[t][0], lm)
         if coprime or not (
             any(mono_divides(other, lcm) for other, _ in new[pos + 1 :])
             or any(mono_divides(other, lcm) for other, _, _ in kept)
@@ -166,8 +175,8 @@ def _update(lead, active, pairs, k, counts) -> None:
     for lcm, i, j in pairs:
         if (
             mono_divides(lm, lcm)
-            and lcm != mono_lcm(lead[i], lm)
-            and lcm != mono_lcm(lead[j], lm)
+            and lcm != mono_lcm(heads[i][0], lm)
+            and lcm != mono_lcm(heads[j][0], lm)
         ):
             counts["pairs_dropped_bk"] += 1
         else:
@@ -180,26 +189,30 @@ def _update(lead, active, pairs, k, counts) -> None:
         else:
             pairs.append((lcm, t, k))
 
-    active[:] = [t for t in active if not mono_divides(lm, lead[t])]
+    active[:] = [t for t in active if not mono_divides(lm, heads[t][0])]
     active.append(k)
 
 
-def _inter_reduce(polys: Sequence[MultiPoly]):
-    """Tail-reduce a minimal monic basis to the unique reduced basis."""
-    polys = list(polys)
+def _inter_reduce(heads: Sequence[tuple]):
+    """Tail-reduce the heads of a minimal monic basis to the unique reduced
+    basis.  No leading monomial divides another, so reduction never reaches
+    a leading term, and each tail is reduced on its own."""
+    heads = list(heads)
     changed = True
     while changed:
         changed = False
-        for idx in range(len(polys)):
-            others = polys[:idx] + polys[idx + 1 :]
+        for idx in range(len(heads)):
+            others = heads[:idx] + heads[idx + 1 :]
             if not others:
                 continue
-            r = normal_form(polys[idx], others).monic()
-            if r != polys[idx]:
-                polys[idx] = r
+            lm, tail = heads[idx]
+            r = _reduce(dict(tail), others)
+            if r != tail:
+                heads[idx] = (lm, r)
                 changed = True
 
-    return sorted(polys, key=lambda p: p.leading_monomial, reverse=True)
+    # leading monomials are distinct, so the order is by them alone
+    return sorted(heads, reverse=True)
 
 
 def is_groebner_basis(polys: Sequence[MultiPoly]) -> bool:
@@ -207,9 +220,10 @@ def is_groebner_basis(polys: Sequence[MultiPoly]) -> bool:
     polys = list(polys)
     if not polys or any(p.is_zero for p in polys):
         raise ValueError("basis elements must be nonzero")
-    for j in range(len(polys)):
+    heads = [_head(p) for p in polys]
+    for j in range(len(heads)):
         for i in range(j):
-            if not normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero:
+            if _reduce(_s_work(heads[i], heads[j]), heads):
                 return False
     return True
 

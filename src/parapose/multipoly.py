@@ -23,28 +23,41 @@ strictly descending and free of zero coefficients, and checks nothing.
 Exponents, variable indices and powers are of type ``int`` exactly: a
 bool is a ValueError, as a bool scalar is under the exact-scalar rule.
 
-``normal_form`` and ``multi_divide`` share one reduction loop.  It
-splits each monic divisor into leading monomial and tail once per call.
-Inside the loop coefficients are plain integer parts
-(``gaussrat._parts``), not ``GaussianRational`` objects: f's terms and
-each divisor's tail are converted once per call, and only remainder and
-quotient terms are boxed again on the way out.  At each step the loop
-removes the term being reduced and subtracts that term times the
-divisor's tail only: the leading product would cancel the term exactly,
-so it is never formed.  Each tail term updates its monomial by
-``gaussrat._sub_mul_parts`` (``old - qc*dc``, one gcd per part, a
-missing term counting as 0), and a term whose parts both cancel is
-deleted.  All gcd and denominator arithmetic stays in ``gaussrat``.
-Plain sums (``+`` and ``-`` of polynomials) and products of polynomials
-keep the boxed product and sum.
+Division and S-polynomials run in a working form that ``groebner``
+shares: a coefficient is its integer parts (``gaussrat._parts``,
+``(re_num, re_den, im_num, im_den)`` in lowest terms), a polynomial being
+reduced is a dict {monomial: parts}, and a monic polynomial is a head,
+(leading monomial, tail), whose tail holds descending (monomial, parts)
+pairs and whose leading coefficient 1 is not stored.
 
-Only ``monic()`` divides by a leading coefficient.  The reduction loop
-and ``s_polynomial`` work on ``monic()`` copies of their inputs, which
-changes no result: a normal form modulo d equals the normal form modulo
-d/lc(d), and S(a*f, b*g) == S(f, g) for nonzero scalars a and b.
-``multi_divide`` scales each divisor's quotient once by 1/lc(d), so its
-identity holds for the divisors as given.  Groebner basis elements are
-monic already, and ``monic()`` returns them unchanged.
+- One reduction loop, ``_reduce``, takes a work dict and a list of
+  heads and returns the remainder in parts, recording quotients only
+  when asked.  Each step removes the term being reduced and subtracts
+  that term times the head's tail only: the leading product would
+  cancel the term exactly, so it is never formed.  Each tail term
+  updates its monomial by ``gaussrat._sub_mul_parts`` (``old - qc*dc``,
+  one gcd per part, a missing term counting as 0), and a term whose
+  parts both cancel is deleted.
+- One S-polynomial rule, ``_s_work``: both heads are monic, so the
+  leading terms cancel and S = x^a*tail_f - x^b*tail_g, one monomial
+  shift and one step of the loop.
+- One rule divides by a leading coefficient, ``_divided``: it
+  multiplies parts by 1/lc (``gaussrat._neg_inverse_parts``, then the
+  loop's step).  It makes heads (``_monic_head``), ``monic()`` is its
+  boxed form, and ``multi_divide`` scales each quotient by it.
+
+All gcd and denominator arithmetic stays in ``gaussrat``.  Coefficients
+are boxed as ``GaussianRational`` only at the public functions:
+``normal_form``, ``multi_divide`` and ``s_polynomial`` convert their
+arguments once per call and box their results.  Each divisor becomes the
+head of d/lc(d), which changes no result: a normal form modulo d equals
+the normal form modulo d/lc(d), and S(a*f, b*g) == S(f, g) for nonzero
+scalars a and b.  ``multi_divide`` scales each divisor's quotient once
+by 1/lc(d), so its identity holds for the divisors as given.
+``groebner.buchberger`` converts its generators once, keeps every
+element as a head and boxes only the reduced basis.  Plain sums and
+products of polynomials keep the boxed operators, and ``evaluate`` is
+exact at ``GaussianRational`` coordinates.
 """
 
 from __future__ import annotations
@@ -53,7 +66,14 @@ from collections.abc import Mapping, Sequence
 from operator import add, le, sub
 
 from ._record import Record
-from .gaussrat import GaussianRational, _from_parts, _parts, _sub_mul_parts, exact_operand
+from .gaussrat import (
+    GaussianRational,
+    _from_parts,
+    _neg_inverse_parts,
+    _parts,
+    _sub_mul_parts,
+    exact_operand,
+)
 
 __all__ = [
     "N_VARS",
@@ -254,13 +274,13 @@ class MultiPoly(Record):
         return MultiPoly._trusted(terms)
 
     def monic(self) -> "MultiPoly":
+        """self / lc(self) by the one division rule, ``_divided``; a
+        leading coefficient of 1 returns self as it is."""
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        lc = self.leading_coefficient
-        if lc == _ONE:
+        if self.leading_coefficient == _ONE:
             return self
-        inv = _ONE / lc
-        return MultiPoly._trusted(tuple((m, c * inv) for m, c in self.terms))
+        return _box_head(_head(self))
 
     def formal_conjugate(self) -> "MultiPoly":
         """Swap each variable with its barred partner, conjugating coefficients."""
@@ -270,8 +290,22 @@ class MultiPoly(Record):
             out.append((swapped, coeff.conjugate()))
         return _sorted_poly(out)
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Numeric evaluation at an 8-vector of complex values."""
+    def evaluate(self, point: Sequence):
+        """Value at an 8-vector of coordinates.
+
+        At ``GaussianRational`` coordinates the value is the exact
+        ``GaussianRational``, each power formed by repeated products; at
+        complex (or float) coordinates it is a complex value in doubles.
+        """
+        if all(isinstance(x, GaussianRational) for x in point):
+            total = _ZERO
+            for mono, coeff in self.terms:
+                v = coeff
+                for x, e in zip(point, mono):
+                    for _ in range(e):
+                        v = v * x
+                total = total + v
+            return total
         total = 0j
         for mono, coeff in self.terms:
             v = complex(coeff)
@@ -353,23 +387,70 @@ def _add_inplace(acc: dict, mono, coeff: GaussianRational):
         del acc[mono]
 
 
-def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> MultiPoly:
-    """Remainder of f modulo an ordered list of divisors, each made monic.
+# -- the working form: parts, work dicts and heads (see the module docstring)
 
-    When quotients is a list of one dict per divisor, the quotient terms
-    by the monic divisors are recorded there, keyed by monomial in
-    descending order.  The term being reduced is always the largest left,
-    so it only moves down: the remainder and each quotient come out
-    strictly descending.
+_ONE_PARTS = _parts(_ONE)
+
+
+def _to_work(f: MultiPoly) -> dict:
+    """f's terms as a work dict of parts."""
+    return {m: _parts(c) for m, c in f.terms}
+
+
+def _divided(terms, lc: tuple) -> tuple:
+    """The one division by a leading coefficient: (monomial, parts) pairs
+    times 1/lc, on parts; an lc of 1 leaves them as they are."""
+    if lc == _ONE_PARTS:
+        return tuple(terms)
+    factor = _neg_inverse_parts(lc)
+    # 0 - c * (-1/lc) == c/lc
+    return tuple((m, _sub_mul_parts(None, c, factor)) for m, c in terms)
+
+
+def _monic_head(terms) -> tuple:
+    """The head of nonzero descending (monomial, parts) pairs divided by
+    their leading coefficient."""
+    lm, lc = terms[0]
+    return lm, _divided(terms[1:], lc)
+
+
+def _head(f: MultiPoly) -> tuple:
+    """The head of f / lc(f); f must be nonzero."""
+    return _monic_head(tuple((m, _parts(c)) for m, c in f.terms))
+
+
+def _box(terms) -> MultiPoly:
+    """MultiPoly of descending, zero-free (monomial, parts) pairs."""
+    return MultiPoly._trusted(tuple((m, _from_parts(c)) for m, c in terms))
+
+
+def _box_head(head) -> MultiPoly:
+    """The monic MultiPoly of a head."""
+    lm, tail = head
+    return _box(((lm, _ONE_PARTS),) + tail)
+
+
+def _sub_shifted(work: dict, coeff: tuple, qm, tail) -> None:
+    """work -= coeff * x^qm * tail in place; a term whose parts both
+    cancel is deleted."""
+    for dm, dc in tail:
+        m = tuple(map(add, qm, dm))
+        c = _sub_mul_parts(work.get(m), coeff, dc)
+        if c is None:
+            del work[m]
+        else:
+            work[m] = c
+
+
+def _reduce(work: dict, heads: Sequence[tuple], quotients=None) -> tuple:
+    """Remainder of the work dict modulo an ordered list of heads, as
+    descending (monomial, parts) pairs; work is consumed.
+
+    When quotients is a list of one dict per head, the quotient terms (in
+    parts) are recorded there, keyed by monomial in descending order.  The
+    term being reduced is always the largest left, so it only moves down:
+    the remainder and each quotient come out strictly descending.
     """
-    heads = []
-    for d in divisors:
-        if d.is_zero:
-            raise ZeroDivisionError("zero polynomial among divisors")
-        terms = d.monic().terms
-        heads.append((terms[0][0], tuple((m, _parts(c)) for m, c in terms[1:])))
-
-    work = {m: _parts(c) for m, c in f.terms}
     remainder = []
     while work:
         mono = max(work)
@@ -378,21 +459,32 @@ def _reduce(f: MultiPoly, divisors: Sequence[MultiPoly], quotients=None) -> Mult
             if mono_divides(lm, mono):
                 qm = tuple(map(sub, mono, lm))
                 if quotients is not None:
-                    quotients[i][qm] = _from_parts(coeff)
-                # the divisor is monic, so the leading product would cancel
-                # the popped term: work -= coeff * x^qm * tail, and a term
-                # whose parts both cancel is deleted
-                for dm, dc in tail:
-                    m = tuple(map(add, qm, dm))
-                    c = _sub_mul_parts(work.get(m), coeff, dc)
-                    if c is None:
-                        del work[m]
-                    else:
-                        work[m] = c
+                    quotients[i][qm] = coeff
+                # the head is monic, so the leading product would cancel
+                # the popped term: only the tail is subtracted
+                _sub_shifted(work, coeff, qm, tail)
                 break
         else:
-            remainder.append((mono, _from_parts(coeff)))
-    return MultiPoly._trusted(tuple(remainder))
+            remainder.append((mono, coeff))
+    return tuple(remainder)
+
+
+def _s_work(f: tuple, g: tuple) -> dict:
+    """S(f, g) of two heads as a work dict.  Both are monic, so the leading
+    terms cancel: S = x^a*tail_f - x^b*tail_g with x^a = lcm/lm(f) and
+    x^b = lcm/lm(g)."""
+    (fm, ftail), (gm, gtail) = f, g
+    lcm = mono_lcm(fm, gm)
+    a = tuple(map(sub, lcm, fm))
+    work = {tuple(map(add, a, m)): c for m, c in ftail}
+    _sub_shifted(work, _ONE_PARTS, tuple(map(sub, lcm, gm)), gtail)
+    return work
+
+
+def _divisor_heads(divisors: Sequence[MultiPoly]) -> list:
+    if any(d.is_zero for d in divisors):
+        raise ZeroDivisionError("zero polynomial among divisors")
+    return [_head(d) for d in divisors]
 
 
 def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
@@ -405,26 +497,25 @@ def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
     if not divisors:
         raise ValueError("empty divisor list")
     quotients = [{} for _ in divisors]
-    remainder = _reduce(f, divisors, quotients)
+    remainder = _reduce(_to_work(f), _divisor_heads(divisors), quotients)
     # q * (g / lc(g)) == (q / lc(g)) * g
     return [
-        MultiPoly._trusted(tuple(q.items())) * (_ONE / g.leading_coefficient)
+        _box(_divided(q.items(), _parts(g.leading_coefficient)))
         for q, g in zip(quotients, divisors)
-    ], remainder
+    ], _box(remainder)
 
 
 def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
     """Remainder of multi_divide without quotient bookkeeping."""
-    return _reduce(f, divisors)
+    return _box(_reduce(_to_work(f), _divisor_heads(divisors)))
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S(f, g) = (lcm/LT(f)) * f - (lcm/LT(g)) * g, formed from f.monic()
-    and g.monic() by monomial shifts alone."""
-    f, g = f.monic(), g.monic()
-    fm, gm = f.leading_monomial, g.leading_monomial
-    lcm = mono_lcm(fm, gm)
-    return f.term_shift(mono_div(lcm, fm), _ONE) - g.term_shift(mono_div(lcm, gm), _ONE)
+    """S(f, g) = (lcm/LT(f)) * f - (lcm/LT(g)) * g, formed from the heads
+    of f/lc(f) and g/lc(g) by monomial shifts alone."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("zero polynomial cannot be made monic")
+    return _box(sorted(_s_work(_head(f), _head(g)).items(), reverse=True))
 
 
 def _sorted_poly(items) -> MultiPoly:

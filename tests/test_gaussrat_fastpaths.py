@@ -12,7 +12,13 @@ import unittest
 from fractions import Fraction
 from itertools import product
 
-from parapose.gaussrat import GaussianRational, _from_parts, _parts, _sub_mul_parts
+from parapose.gaussrat import (
+    GaussianRational,
+    _from_parts,
+    _neg_inverse_parts,
+    _parts,
+    _sub_mul_parts,
+)
 
 # components cover zero, one, integers and proper fractions of both signs,
 # so operands range over zero, real, imaginary and general values; the two
@@ -134,6 +140,19 @@ class TestOperatorShortcuts(unittest.TestCase):
             _sub_mul_parts(acc, _parts(TALL), _parts(TALL.conjugate())),
             (Fraction(0), Fraction(1, 3)),
         )
+
+    def test_negated_inverse(self):
+        # -1/z on parts, and x/z through the fused step with it
+        for z in VALUES + [TALL]:
+            if z.is_zero:
+                continue
+            factor = _neg_inverse_parts(_parts(z))
+            with self.subTest(z=z):
+                self.assert_parts(factor, generic_div(Fraction(-1), Fraction(0), z.re, z.im))
+            for x in VALUES:
+                with self.subTest(x=x, z=z):
+                    self.assert_parts(_sub_mul_parts(None, _parts(x), factor),
+                                      generic_div(x.re, x.im, z.re, z.im))
 
     def test_results_compare_and_hash_like_constructed_values(self):
         for x, y in product(VALUES, repeat=2):

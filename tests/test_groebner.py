@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parapose import groebner
+from parapose import gaussrat, groebner
 from parapose.gaussrat import GaussianRational
 from parapose.groebner import (
     GroebnerBasis,
@@ -246,6 +246,27 @@ class TestElimination:
         _, tails = _read_shape(basis1)
         assert MultiPoly.variable(6) + tails[0] == golden_basis1[6]
         assert len(tails) == N_VARS - 1
+
+
+class TestWorkingForm:
+    def test_only_the_reduced_basis_is_boxed(self, ideal1, monkeypatch):
+        # every boxed Q(i) value and polynomial built by the run is one of
+        # the result's coefficients or elements
+        built = {"values": 0, "polys": 0}
+        make, trusted = gaussrat._make, MultiPoly._trusted.__func__
+
+        def counted_make(re, im):
+            built["values"] += 1
+            return make(re, im)
+
+        def counted_trusted(cls, terms):
+            built["polys"] += 1
+            return trusted(cls, terms)
+
+        monkeypatch.setattr(gaussrat, "_make", counted_make)
+        monkeypatch.setattr(MultiPoly, "_trusted", classmethod(counted_trusted))
+        elements = buchberger(ideal1).elements
+        assert built == {"values": sum(len(g.terms) for g in elements), "polys": len(elements)}
 
 
 class TestStats:

@@ -1,8 +1,11 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parapose.gaussrat import GaussianRational
 from parapose.kinematics import (
@@ -15,7 +18,7 @@ from parapose.kinematics import (
     solve_posture,
     to_angles,
 )
-from parapose.groebner import GroebnerBasis
+from parapose.groebner import GroebnerBasis, buchberger
 from parapose.kinematics import PostureAngles, _extend, _read_shape
 from parapose.multipoly import MultiPoly, parse_poly
 from parapose.rootfind import eval_poly, find_roots
@@ -412,3 +415,88 @@ class TestEliminantConstantTerm:
         rep = solve_posture(generic_problem(random.Random(seed)))
         assert rep.eliminant.degree == 6
         assert not rep.eliminant.coefficients[0].is_zero
+
+
+def pythagorean_unit(m, n):
+    """(m + n*i)^2 / (m^2 + n^2): an exact unit direction of Q(i)."""
+    z = GaussianRational(m, n)
+    return z * z / z.norm_sq()
+
+
+def planted(units, lengths):
+    """A problem built around the exact posture units = (CA, CB, CC, AL,
+    cis_beta), and that posture as a point of the eight coordinates."""
+    ca, cb, cc, al, beta = units
+    s_a, s_b, s_c, l_ab, l_ac = lengths
+    problem = ManipulatorProblem(
+        l_ab=l_ab, l_ac=l_ac, cis_beta=beta, s_a=s_a, s_b=s_b, s_c=s_c,
+        d_ab=s_a * ca + l_ab * al - s_b * cb,
+        d_ac=s_a * ca + l_ac * beta * al - s_c * cc,
+    )
+    return problem, [ca, cb, cc, al] + [u.conjugate() for u in (ca, cb, cc, al)]
+
+
+def assert_planted_point_is_exact_root(problem, point):
+    """Every basis element vanishes exactly at the planted point; returns
+    the basis."""
+    basis = buchberger(build_ideal(problem))
+    for g in basis.elements:
+        assert g.evaluate(point).is_zero, g
+    return basis
+
+
+PLANTED_CASES = [
+    ((pythagorean_unit(2, 1), pythagorean_unit(3, 2), pythagorean_unit(4, 1),
+      pythagorean_unit(4, 3), pythagorean_unit(1, 1)),
+     (Fraction(2), Fraction(7, 2), Fraction(5, 2), Fraction(3), Fraction(4))),
+    ((pythagorean_unit(1, 2), pythagorean_unit(5, 2), pythagorean_unit(-3, 1),
+      pythagorean_unit(2, -1), pythagorean_unit(3, 2)),
+     (Fraction(9, 8), Fraction(5), Fraction(13, 4), Fraction(7, 2), Fraction(11, 8))),
+    ((pythagorean_unit(4, -1), pythagorean_unit(1, 3), pythagorean_unit(2, 5),
+      pythagorean_unit(-1, 4), pythagorean_unit(5, 1)),
+     (Fraction(6), Fraction(3, 8), Fraction(17, 4), Fraction(5, 2), Fraction(9))),
+]
+
+
+class TestPlantedPosture:
+    """Ground truth that does not come from the solver: problems built
+    around a known exact posture (Pythagorean unit directions, rational
+    strokes and sides, anchors d_ab = s_a*CA + l_ab*AL - s_b*CB and
+    d_ac = s_a*CA + l_ac*cis_beta*AL - s_c*CC)."""
+
+    @pytest.mark.parametrize("units, lengths", PLANTED_CASES)
+    def test_fixed_cases(self, units, lengths):
+        problem, point = planted(units, lengths)
+        basis = assert_planted_point_is_exact_root(problem, point)
+        eliminant, _ = _read_shape(basis)
+        assert eliminant.degree >= 1
+        assert eval_poly(eliminant, point[7]).is_zero
+        # the solver reports the planted posture among its physical ones
+        report = solve_posture(problem)
+        assert any(
+            all(abs(cmath.rect(1.0, math.radians(a)) - complex(u)) <= 1e-6
+                for a, u in zip(posture.as_tuple(), units))
+            for posture in report.postures
+        )
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+            .filter(lambda mn: mn != (0, 0))
+            .map(lambda mn: pythagorean_unit(*mn)),
+            min_size=5, max_size=5,
+        ),
+        st.lists(st.integers(8, 72).map(lambda k: Fraction(k, 8)), min_size=5, max_size=5),
+    )
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    def test_random_cases(self, units, lengths):
+        try:
+            problem, point = planted(units, lengths)
+        except ValueError:
+            return  # coincident or zero anchors: not a valid design
+        basis = assert_planted_point_is_exact_root(problem, point)
+        try:
+            eliminant, _ = _read_shape(basis)
+        except ShapePositionError:
+            return  # a degenerate design: no univariate eliminant to check
+        assert eval_poly(eliminant, point[7]).is_zero

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parapose.gaussrat import GaussianRational
+from parapose.gaussrat import GaussianRational, _parts
+from parapose.groebner import buchberger, is_groebner_basis
 from parapose.multipoly import (
     MONO_ONE,
     MultiPoly,
@@ -22,6 +23,9 @@ from parapose.multipoly import (
     parse_poly,
     s_polynomial,
 )
+from parapose.multipoly import _box, _box_head, _head, _monic_head, _reduce, _s_work, _to_work
+
+from textbook import textbook_division, textbook_s_polynomial
 
 CA, CB, CC, AL, CCA, CCB, CCC, CCAL = (MultiPoly.variable(i) for i in range(8))
 X, Y = CA, CB  # generic names for small-system tests
@@ -320,41 +324,6 @@ class TestTextForm:
             parse_poly(text)
 
 
-def textbook_division(f, divisors):
-    """The division algorithm as textbooks state it (Cox, Little & O'Shea,
-    ch. 2, sec. 3), on GaussianRational's public operators only: a step
-    divides by the leading coefficient and subtracts the whole quotient
-    term times the divisor, its leading term included."""
-    work, remainder = dict(f.terms), {}
-    quotients = [{} for _ in divisors]
-    while work:
-        m = max(work)
-        for q, g in zip(quotients, divisors):
-            lm, lc = g.leading_term
-            if mono_divides(lm, m):
-                qm, qc = mono_div(m, lm), work[m] / lc
-                q[qm] = qc
-                for gm, gc in g.terms:
-                    t = mono_mul(qm, gm)
-                    c = work.get(t, GaussianRational(0)) - qc * gc
-                    if c.is_zero:
-                        del work[t]
-                    else:
-                        work[t] = c
-                break
-        else:
-            remainder[m] = work.pop(m)
-    return [MultiPoly(q) for q in quotients], MultiPoly(remainder)
-
-
-def textbook_s_polynomial(f, g):
-    """(lcm/LT(f)) * f - (lcm/LT(g)) * g on public operators only, each
-    cofactor a one-term MultiPoly with coefficient 1/lc."""
-    (fm, fc), (gm, gc) = f.leading_term, g.leading_term
-    lcm = mono_lcm(fm, gm)
-    return MultiPoly({mono_div(lcm, fm): 1 / fc}) * f - MultiPoly({mono_div(lcm, gm): 1 / gc}) * g
-
-
 # polynomials on three variables, so that divisions actually reduce
 dense_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
     lambda e: e + (0,) * 5
@@ -471,3 +440,100 @@ class TestNonMonicSPolynomial:
     @settings(max_examples=60, deadline=None)
     def test_matches_textbook(self, f, g):
         assert s_polynomial(f, g).terms == textbook_s_polynomial(f, g).terms
+
+
+class TestExactEvaluation:
+    """evaluate at GaussianRational coordinates is exact."""
+
+    def test_gaussian_point(self):
+        value = parse_poly("CA^2*CB + 3").evaluate([GaussianRational(1, 1)] * 8)
+        assert type(value) is GaussianRational
+        # (1+i)^3 + 3
+        assert value == GaussianRational(1, 2)
+
+    def test_zero_polynomial(self):
+        assert MultiPoly().evaluate([GaussianRational(2)] * 8) == GaussianRational(0)
+
+    @given(st.one_of(polys, wide_polys), st.lists(st.one_of(coeffs, special_coeffs), min_size=8, max_size=8))
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    def test_matches_products_and_doubles(self, p, point):
+        exact = p.evaluate(point)
+        # the reference: powers by MultiPoly's binary exponentiation
+        want, scale = MultiPoly(), 0.0
+        for m, c in p.terms:
+            term, size = MultiPoly.constant(c), abs(complex(c))
+            for x, e in zip(point, m):
+                term = term * MultiPoly.constant(x) ** e
+                size *= abs(complex(x)) ** e
+            want, scale = want + term, scale + size
+        assert exact == want.coefficient(MONO_ONE)
+        approx = p.evaluate([complex(x) for x in point])
+        assert type(approx) is complex
+        assert abs(complex(exact) - approx) <= 1e-12 * scale
+
+
+def parts_terms(p):
+    return tuple((m, _parts(c)) for m, c in p.terms)
+
+
+# a monomial above every dense monomial, to put a chosen leading coefficient on
+TOP = (3,) + (0,) * 7
+
+
+class TestWorkingForm:
+    """The working form of the reduction loop and of buchberger: heads
+    (leading monomial, tail in integer parts) with an implicit leading 1."""
+
+    @given(st.one_of(dense_nonzero, wide_dense_nonzero), st.one_of(coeffs, special_coeffs, wide_coeffs))
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    def test_division_rule_is_monic(self, p, lc):
+        # real, purely imaginary and tall leading coefficients
+        p = MultiPoly(((TOP, lc),) + p.terms)
+        head = _monic_head(parts_terms(p))
+        assert head == _head(p)
+        assert head[0] == TOP
+        assert _box_head(head).terms == p.monic().terms == tuple((m, c / lc) for m, c in p.terms)
+
+    @given(st.one_of(dense_nonzero, wide_dense_nonzero), st.one_of(dense_nonzero, wide_dense_nonzero))
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    def test_s_polynomial_of_heads(self, f, g):
+        f, g = f.monic(), g.monic()
+        s = _box(sorted(_s_work(_head(f), _head(g)).items(), reverse=True))
+        assert s.terms == s_polynomial(f, g).terms == textbook_s_polynomial(f, g).terms
+
+    @given(st.one_of(dense_polys, wide_dense_polys),
+           st.lists(st.tuples(st.one_of(dense_nonzero, wide_dense_nonzero), st.one_of(coeffs, wide_coeffs)),
+                    min_size=1, max_size=3))
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    def test_non_monic_division_identity(self, f, scaled):
+        divisors = [g.monic() * c for g, c in scaled]
+        quotients, remainder = multi_divide(f, divisors)
+        rebuilt = remainder
+        for q, g in zip(quotients, divisors):
+            rebuilt = rebuilt + q * g
+        assert rebuilt == f
+        assert normal_form(f, divisors) == remainder
+        assert _box(_reduce(_to_work(f), [_head(g) for g in divisors])) == remainder
+        for m, _ in remainder.terms:
+            assert not any(mono_divides(g.leading_monomial, m) for g in divisors)
+
+    @given(st.lists(st.dictionaries(dense_monomials, st.one_of(coeffs, special_coeffs), min_size=1, max_size=3)
+                    .map(MultiPoly).filter(lambda p: not p.is_zero), min_size=1, max_size=3))
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    def test_buchberger_basis_is_reduced_and_monic(self, generators):
+        elements = list(buchberger(generators).elements)
+        assert is_groebner_basis(elements)
+        leads = [g.leading_monomial for g in elements]
+        assert leads == sorted(leads, reverse=True)
+        for k, g in enumerate(elements):
+            assert g.leading_coefficient == GaussianRational(1)
+            for m, _ in g.terms[1:]:
+                assert not any(mono_divides(lm, m) for lm in leads)
+            assert not any(mono_divides(lm, leads[k]) for j, lm in enumerate(leads) if j != k)
+        # the textbook oracle, on public operators only
+        for j in range(len(elements)):
+            for i in range(j):
+                s = textbook_s_polynomial(elements[i], elements[j])
+                assert textbook_division(s, elements)[1].is_zero
+        for f in generators:
+            assert textbook_division(f, elements)[1].is_zero
