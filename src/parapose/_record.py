@@ -13,7 +13,8 @@ coerce fields in place with ``object.__setattr__``.  A record hashes by
 its compared fields, so one that holds a dict is unhashable.  Every
 value type of the package is a record, the Q(i) numbers of ``gaussrat``
 and the polynomials of ``multipoly`` included; their arithmetic builds
-results past ``__init__`` through the slot descriptors' ``__set__``.
+results that are normalised by construction past ``__init__``, through
+the slot descriptors' ``__set__``.
 """
 
 from __future__ import annotations

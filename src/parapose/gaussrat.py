@@ -17,27 +17,25 @@ text (:func:`exact_operand`, so ``z + "1"`` is a TypeError), and
 rejection a ValueError.
 
 :class:`GaussianRational` is a ``_record.Record`` with the fields
-``re`` and ``im``; its ``_check`` applies the exact-scalar rule.  The
-field operators build their results with the private ``_make(re, im)``,
-which takes two ``Fraction`` values as they are and does not coerce or
-check them.  Products with a real (or zero) operand use two
-``Fraction`` multiplications.  Any other product is normalised once per
-part: both parts are put over the product D of the four
-component denominators, and each is built by one ``Fraction(n, D)``,
-whose single gcd gives the canonical value, instead of four ``Fraction``
-products and two sums that each reduce their own result.
+``re`` and ``im``; its ``_check`` applies the exact-scalar rule.  Every
+field operator takes its operand by :func:`exact_operand` and builds its
+result with the private ``_make(re, im)``, which takes two ``Fraction``
+values as they are and does not coerce or check them.
 
 The reduction loop of ``multipoly``, and ``groebner.buchberger`` around
 it, run on integer parts instead of boxed values: ``_parts(z)`` is
 ``(re_num, re_den, im_num, im_den)``, each part in lowest terms over a
 positive denominator (exactly the normal form of the two Fractions), and
 ``_from_parts`` boxes such a tuple again.  ``_sub_mul_parts(acc, x, y)``
-is the loop's step ``acc - x*y`` on parts: each part goes over its own
-denominator in ``acc`` times that D and is reduced by one gcd, with no
+is the loop's step ``acc - x*y`` on parts: the product's parts go over
+D, the product of the four component denominators, each part goes over
+its own denominator in ``acc`` times D and is reduced by one gcd, with no
 object built but the result tuple.  ``_neg_inverse_parts(z)`` is -1/z on
 parts, so that ``_sub_mul_parts(None, x, _neg_inverse_parts(z))`` is x/z:
-the one division by a leading coefficient.  This module is the only one
-that knows how a Q(i) value is normalised.
+the one division by a leading coefficient.  These two are the module's
+only product and inverse: ``x * y`` boxes 0 - x*(-y) and ``x / y`` boxes
+0 - x*(-1/y), both by that step.  This module is the only one that knows
+how a Q(i) value is normalised.
 
 Error messages show a rejected value by :func:`_shown`, its repr cut to
 a fixed length, so one bad value gives one short error line.
@@ -130,7 +128,7 @@ class GaussianRational(Record):
     # -- field operations -------------------------------------------------
 
     def __add__(self, other):
-        o = other if other.__class__ is GaussianRational else exact_operand(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
         return _make(self.re + o.re, self.im + o.im)
@@ -138,7 +136,7 @@ class GaussianRational(Record):
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if other.__class__ is GaussianRational else exact_operand(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
         return _make(self.re - o.re, self.im - o.im)
@@ -156,40 +154,23 @@ class GaussianRational(Record):
         return self
 
     def __mul__(self, other):
-        o = other if other.__class__ is GaussianRational else exact_operand(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        # (a + bi)(c + di): a real or zero operand needs only two products
-        if not d:
-            return _make(a * c, b * c)
-        if not b:
-            return _make(a * c, a * d)
-        # both parts over den = ad*bd*cd*dd: one gcd each, in Fraction(n, den)
-        an, ad = a.numerator, a.denominator
-        bn, bd = b.numerator, b.denominator
-        cn, cd = c.numerator, c.denominator
-        dn, dd = d.numerator, d.denominator
-        acd, bdd = ad * cd, bd * dd
-        den = acd * bdd
-        return _make(
-            Fraction(an * cn * bdd - bn * dn * acd, den),
-            Fraction(an * dn * bd * cd + bn * cn * ad * dd, den),
-        )
+        cn, cd, dn, dd = _parts(o)
+        # 0 - x*(-y) == x*y, by the reduction loop's step
+        return _boxed(_sub_mul_parts(None, _parts(self), (-cn, cd, -dn, dd)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if other.__class__ is GaussianRational else exact_operand(other)
+        o = exact_operand(other)
         if o is None:
             return NotImplemented
-        n = o.norm_sq()
-        if n == 0:
+        if not o:
             raise ZeroDivisionError("division by zero")
-        return _make(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # 0 - x*(-1/y) == x/y, the one division rule of multipoly._divided
+        return _boxed(_sub_mul_parts(None, _parts(self), _neg_inverse_parts(_parts(o))))
 
     def __rtruediv__(self, other):
         o = exact_operand(other)
@@ -277,14 +258,19 @@ def _from_parts(t: tuple) -> GaussianRational:
     return _make(Fraction(rn, rd), Fraction(jn, jd))
 
 
+def _boxed(t) -> GaussianRational:
+    """The value of parts t as ``_sub_mul_parts`` returns them: None is 0."""
+    return _from_parts((0, 1, 0, 1) if t is None else t)
+
+
 def _sub_mul_parts(acc, x: tuple, y: tuple):
     """acc - x*y on parts; acc None means 0, and the result is None when
     both parts cancel.
 
     The product's parts go over P, the product of the four component
-    denominators of x and y, as in ``__mul__``; part k of acc (nk/ek)
-    minus part k of the product goes over ek*P and is brought to lowest
-    terms by one gcd.  A part the product leaves unchanged is kept as it is.
+    denominators of x and y; part k of acc (nk/ek) minus part k of the
+    product goes over ek*P and is brought to lowest terms by one gcd.  A
+    part the product leaves unchanged is kept as it is.
     """
     an, ad, bn, bd = x
     cn, cd, dn, dd = y

@@ -140,11 +140,11 @@ def build_ideal(problem: ManipulatorProblem) -> list:
 
 
 def _extend(tails, root: complex) -> SolutionTuple:
-    coords = [None] * N_VARS
-    coords[N_VARS - 1] = complex(root)
-    for v, tail in zip(range(N_VARS - 2, -1, -1), tails):
-        coords[v] = -tail.evaluate(coords)
-    return SolutionTuple(coords=tuple(coords))
+    # every tail lies in Q(i)[CCAL] (see _read_shape), so it is evaluated
+    # at the root alone
+    point = (0j,) * (N_VARS - 1) + (complex(root),)
+    values = [-tail.evaluate(point) for tail in tails]
+    return SolutionTuple(coords=tuple(reversed(values)) + point[-1:])
 
 
 def _is_physical(coords) -> bool:
@@ -212,8 +212,8 @@ def _read_shape(basis) -> tuple:
                 f"triangular extension unavailable: variable {VAR_NAMES[v]} "
                 "has 0 linear basis elements"
             )
-        # every tail monomial is lex-below the variable itself, so it holds
-        # only the variables after it, whose values are found first
+        # the tail is reduced modulo the other linear elements and e, so it
+        # lies in Q(i)[CCAL] with degree below e's (the shape lemma)
         tails.append(MultiPoly._trusted(g.terms[1:]))
     return eliminant, tails
 

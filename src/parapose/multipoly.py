@@ -14,12 +14,14 @@ a small canonical text grammar (e.g. ``CCAL^4 - 213/50*CCAL^3 + 1`` or
 grammar, ``parse_poly``, lives in ``parapose.polytext`` and is loaded
 when one of its names is first read from this module.
 
-The public constructors validate and normalise their input (in
-``_check``: repeated monomials are summed and zero coefficients
-dropped).  Results of ring operations and of the division loop are
-wrapped by the private ``MultiPoly._trusted(terms)`` instead, which
-takes a tuple of ``(monomial, coefficient)`` pairs that is already
-strictly descending and free of zero coefficients, and checks nothing.
+The constructor's ``_check`` is the one like-term rule: it validates
+the pairs, sums repeated monomials, drops zero coefficients and sorts.
+Sums, differences, products and formal conjugates are built through it.
+Values that are normalised by construction (negation, term shifts and
+the division loop's results) are wrapped by the private
+``MultiPoly._trusted(terms)`` instead, which takes a tuple of
+``(monomial, coefficient)`` pairs that is already strictly descending
+and free of zero coefficients, and checks nothing.
 Exponents, variable indices and powers are of type ``int`` exactly: a
 bool is a ValueError, as a bool scalar is under the exact-scalar rule.
 
@@ -56,7 +58,7 @@ scalars a and b.  ``multi_divide`` scales each divisor's quotient once
 by 1/lc(d), so its identity holds for the divisors as given.
 ``groebner.buchberger`` converts its generators once, keeps every
 element as a head and boxes only the reduced basis.  Plain sums and
-products of polynomials keep the boxed operators, and ``evaluate`` is
+products of polynomials use the boxed operators, and ``evaluate`` is
 exact at ``GaussianRational`` coordinates.
 """
 
@@ -148,9 +150,9 @@ class MultiPoly(Record):
             mono = _check_mono(mono)
             if not isinstance(coeff, GaussianRational):
                 coeff = GaussianRational(coeff)
-            if coeff:
-                _add_inplace(acc, mono, coeff)
-        _set_terms(self, tuple(sorted(acc.items(), reverse=True)))
+            old = acc.get(mono)
+            acc[mono] = coeff if old is None else old + coeff
+        _set_terms(self, tuple(sorted(((m, c) for m, c in acc.items() if c), reverse=True)))
 
     @classmethod
     def _trusted(cls, terms: tuple) -> "MultiPoly":
@@ -208,10 +210,9 @@ class MultiPoly(Record):
             if s is None:
                 return NotImplemented
             other = MultiPoly.constant(s)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms:
-            _add_inplace(acc, mono, -coeff if negate else coeff)
-        return _sorted_poly(acc.items())
+        if negate:
+            other = -other
+        return MultiPoly(self.terms + other.terms)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -229,11 +230,8 @@ class MultiPoly(Record):
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            acc: dict = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    _add_inplace(acc, mono_mul(m1, m2), c1 * c2)
-            return _sorted_poly(acc.items())
+            return MultiPoly([(mono_mul(m1, m2), c1 * c2)
+                              for m1, c1 in self.terms for m2, c2 in other.terms])
         s = exact_operand(other)
         if s is None:
             return NotImplemented
@@ -284,11 +282,8 @@ class MultiPoly(Record):
 
     def formal_conjugate(self) -> "MultiPoly":
         """Swap each variable with its barred partner, conjugating coefficients."""
-        out = []
-        for mono, coeff in self.terms:
-            swapped = tuple(mono[BAR_PARTNER[i]] for i in range(N_VARS))
-            out.append((swapped, coeff.conjugate()))
-        return _sorted_poly(out)
+        return MultiPoly([(tuple(mono[i] for i in BAR_PARTNER), coeff.conjugate())
+                          for mono, coeff in self.terms])
 
     def evaluate(self, point: Sequence):
         """Value at an 8-vector of coordinates.
@@ -371,20 +366,6 @@ def _term_text(mono, coeff: GaussianRational):
         return sign, imag if not mono_s else f"{imag}*{mono_s}"
     body = f"({coeff})"
     return 1, body if not mono_s else f"{body}*{mono_s}"
-
-
-# -- division algorithm and S-polynomials -----------------------------------
-
-def _add_inplace(acc: dict, mono, coeff: GaussianRational):
-    old = acc.get(mono)
-    if old is None:
-        acc[mono] = coeff
-        return
-    c = old + coeff
-    if c:
-        acc[mono] = c
-    else:
-        del acc[mono]
 
 
 # -- the working form: parts, work dicts and heads (see the module docstring)
@@ -516,12 +497,6 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial cannot be made monic")
     return _box(sorted(_s_work(_head(f), _head(g)).items(), reverse=True))
-
-
-def _sorted_poly(items) -> MultiPoly:
-    """MultiPoly from zero-free (monomial, coefficient) pairs with
-    distinct monomials, in any order."""
-    return MultiPoly._trusted(tuple(sorted(items, reverse=True)))
 
 
 def __getattr__(name):

@@ -1,5 +1,6 @@
 import datetime
 import gc
+import hashlib
 import io
 import json
 import os
@@ -51,6 +52,22 @@ def without_timestamp(text):
     doc = json.loads(text)
     doc.pop("timestamp")
     return json.dumps(doc, indent=2)
+
+
+def report_digest(text):
+    """SHA-256 of a report without its timestamp, every float rounded to
+    12 significant digits."""
+    doc = json.loads(text, parse_float=lambda s: float(f"{float(s):.12g}"))
+    doc.pop("timestamp")
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# report_digest of the bundled problems' --emit-basis reports: coordinates,
+# residuals, solution order, angles and diagnostics, not only the bases
+REPORT_DIGESTS = {
+    "example1": "0acc74bae83f8ac80a96b514c3ca1210fe53d3973383c441ad4df61d945f7f5d",
+    "example2": "36a35356f125390d32d6e25d3a70465840f025ab68517e3f3b2dc4896df41537",
+}
 
 
 def svg_bytes(svg_dir):
@@ -200,6 +217,14 @@ class TestSolveCommand:
         assert doc["groebner_basis"] == BASIS_EXAMPLE1
         files = sorted(p.name for p in svg_dir.iterdir())
         assert files == ["posture_1.svg", "posture_2.svg"]
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_bundled_reports_pinned(self, tmp_path, name):
+        out = tmp_path / "report.json"
+        argv = ["solve", "--input", str(PROBLEMS_DIR / f"{name}.json"),
+                "--emit-basis", "--output", str(out)]
+        assert main(argv) == 0
+        assert report_digest(out.read_text()) == REPORT_DIGESTS[name]
 
     def test_example_two_svg_count(self, tmp_path):
         svg_dir = tmp_path / "svg"

@@ -1,5 +1,7 @@
-"""GaussianRational operator shortcuts and the reduction loop's parts helpers
-against the textbook formulas.
+"""GaussianRational operators and the reduction loop's parts helpers
+against the textbook formulas: ``*`` and ``/`` box the loop's step on
+parts (0 - x*(-y) and 0 - x*(-1/y)), so both are checked here on zero,
+real, imaginary, general and tall operands.
 
 Standard library only, so that it also runs under ``python -m unittest``
 on interpreters without the test extras installed.
