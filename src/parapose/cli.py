@@ -253,41 +253,35 @@ options:
   -h, --help  show this help message and exit
 """
 
-_SOLVE_USAGE = """\
-usage: parapose solve [-h] --input INPUT [--output OUTPUT] [--svg-dir SVG_DIR]
-                      [--emit-basis]"""
-_SOLVE_HELP = f"""{_SOLVE_USAGE}
-
-options:
-  -h, --help            show this help message and exit
-  --input INPUT         problem JSON file ("-": stdin)
-  --output OUTPUT       report JSON path (default or "-": stdout)
-  --svg-dir SVG_DIR     directory for posture_<k>.svg files
-  --emit-basis          include the Groebner basis in the report
-"""
-
-_GB_USAGE = "usage: parapose gb [-h] --input INPUT"
-_GB_HELP = f"""{_GB_USAGE}
-
-options:
-  -h, --help     show this help message and exit
-  --input INPUT  text file, one polynomial per line ("-": stdin)
-"""
-
-# command -> (runner, usage, help, {flag: default}); a flag whose default
-# is False is a switch and takes no value, any other takes a string;
-# every command needs --input
+# command -> (runner, {flag: (metavar, help)}); a flag whose metavar is
+# None is a switch and takes no value, any other takes a string; every
+# command needs --input.  Each command's help page and usage line are
+# built from its table by _help.
 _COMMANDS = {
-    "solve": (run_solve, _SOLVE_USAGE, _SOLVE_HELP, {
-        "--input": None,
-        "--output": None,
-        "--svg-dir": None,
-        "--emit-basis": False,
+    "solve": (run_solve, {
+        "--input": ("INPUT", 'problem JSON file ("-": stdin)'),
+        "--output": ("OUTPUT", 'report JSON path (default or "-": stdout)'),
+        "--svg-dir": ("SVG_DIR", "directory for posture_<k>.svg files"),
+        "--emit-basis": (None, "include the Groebner basis in the report"),
     }),
-    "gb": (run_gb, _GB_USAGE, _GB_HELP, {
-        "--input": None,
+    "gb": (run_gb, {
+        "--input": ("INPUT", 'text file, one polynomial per line ("-": stdin)'),
     }),
 }
+
+
+def _help(command: str) -> str:
+    """A command's help page, built from its flag table; its first line is
+    the usage line, in which --input is the one required flag."""
+    rows = [("-h, --help", "show this help message and exit")]
+    words = [f"usage: parapose {command} [-h]"]
+    for flag, (metavar, text) in _COMMANDS[command][1].items():
+        spelled = flag if metavar is None else f"{flag} {metavar}"
+        rows.append((spelled, text))
+        words.append(spelled if flag == "--input" else f"[{spelled}]")
+    width = max(len(spelled) for spelled, _ in rows) + 2
+    body = "".join(f"  {spelled:<{width}}{text}\n" for spelled, text in rows)
+    return f"{' '.join(words)}\n\noptions:\n{body}"
 
 
 class _UsageError(Exception):
@@ -296,7 +290,7 @@ class _UsageError(Exception):
 
 def _parse_flags(flags: dict, tokens: list):
     """Flag values by name (dashes to underscores), or None after -h/--help."""
-    values = dict(flags)
+    values = {flag: None if metavar else False for flag, (metavar, _) in flags.items()}
     tokens = iter(tokens)
     for token in tokens:
         if token in ("-h", "--help"):
@@ -306,7 +300,7 @@ def _parse_flags(flags: dict, tokens: list):
             if token.startswith("-"):
                 raise _UsageError(f"unknown flag {flag}")
             raise _UsageError(f"unexpected argument {token!r}")
-        if flags[flag] is False:
+        if flags[flag][0] is None:  # a switch
             if eq:
                 raise _UsageError(f"{flag} takes no value")
             value = True
@@ -333,14 +327,15 @@ def main(argv=None) -> int:
         message = f"unknown command {argv[0]!r}" if argv else "a command is required"
         print(_USAGE, f"parapose: error: {message}", sep="\n", file=sys.stderr)
         return 1
-    runner, usage, text, flags = _COMMANDS[argv[0]]
+    runner, flags = _COMMANDS[argv[0]]
     try:
         values = _parse_flags(flags, argv[1:])
     except _UsageError as exc:
+        usage = _help(argv[0]).partition("\n")[0]
         print(usage, f"parapose {argv[0]}: error: {exc}", sep="\n", file=sys.stderr)
         return 1
     if values is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_help(argv[0]))
         return 0
     try:
         return runner(SimpleNamespace(**values))

@@ -25,15 +25,16 @@ values as they are and does not coerce or check them.
 The reduction loop of ``multipoly``, and ``groebner.buchberger`` around
 it, run on integer parts instead of boxed values: ``_parts(z)`` is
 ``(re_num, re_den, im_num, im_den)``, each part in lowest terms over a
-positive denominator (exactly the normal form of the two Fractions), and
-``_from_parts`` boxes such a tuple again.  ``_sub_mul_parts(acc, x, y)``
-is the loop's step ``acc - x*y`` on parts: the product's parts go over
-D, the product of the four component denominators, each part goes over
-its own denominator in ``acc`` times D and is reduced by one gcd, with no
-object built but the result tuple.  ``_neg_inverse_parts(z)`` is -1/z on
-parts, so that ``_sub_mul_parts(None, x, _neg_inverse_parts(z))`` is x/z:
-the one division by a leading coefficient.  These two are the module's
-only product and inverse: ``x * y`` boxes 0 - x*(-y) and ``x / y`` boxes
+positive denominator (exactly the normal form of the two Fractions).
+``_sub_mul_parts(acc, x, y)`` is the loop's step ``acc - x*y`` on parts:
+the product's parts go over D, the product of the four component
+denominators, each part goes over its own denominator in ``acc`` times D
+and is reduced by one gcd, with no object built but the result tuple,
+or None when both parts cancel.  ``_from_parts`` boxes either again, None
+as 0.  ``_neg_inverse_parts(z)`` is -1/z on parts, so that
+``_sub_mul_parts(None, x, _neg_inverse_parts(z))`` is x/z: the one
+division by a leading coefficient.  These two are the module's only
+product and inverse: ``x * y`` boxes 0 - x*(-y) and ``x / y`` boxes
 0 - x*(-1/y), both by that step.  This module is the only one that knows
 how a Q(i) value is normalised.
 
@@ -159,7 +160,7 @@ class GaussianRational(Record):
             return NotImplemented
         cn, cd, dn, dd = _parts(o)
         # 0 - x*(-y) == x*y, by the reduction loop's step
-        return _boxed(_sub_mul_parts(None, _parts(self), (-cn, cd, -dn, dd)))
+        return _from_parts(_sub_mul_parts(None, _parts(self), (-cn, cd, -dn, dd)))
 
     __rmul__ = __mul__
 
@@ -170,7 +171,7 @@ class GaussianRational(Record):
         if not o:
             raise ZeroDivisionError("division by zero")
         # 0 - x*(-1/y) == x/y, the one division rule of multipoly._divided
-        return _boxed(_sub_mul_parts(None, _parts(self), _neg_inverse_parts(_parts(o))))
+        return _from_parts(_sub_mul_parts(None, _parts(self), _neg_inverse_parts(_parts(o))))
 
     def __rtruediv__(self, other):
         o = exact_operand(other)
@@ -252,15 +253,11 @@ def _parts(z: GaussianRational) -> tuple:
     return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
-def _from_parts(t: tuple) -> GaussianRational:
-    """The value of parts t, which are already in lowest terms."""
-    rn, rd, jn, jd = t
+def _from_parts(t) -> GaussianRational:
+    """The value of parts t, which are already in lowest terms; None (what
+    ``_sub_mul_parts`` returns for 0) is 0."""
+    rn, rd, jn, jd = t or (0, 1, 0, 1)
     return _make(Fraction(rn, rd), Fraction(jn, jd))
-
-
-def _boxed(t) -> GaussianRational:
-    """The value of parts t as ``_sub_mul_parts`` returns them: None is 0."""
-    return _from_parts((0, 1, 0, 1) if t is None else t)
 
 
 def _sub_mul_parts(acc, x: tuple, y: tuple):

@@ -22,6 +22,12 @@ heads, and compare parts tuples, so no ``GaussianRational`` or
 ``MultiPoly`` is built between the generators and the result: only the
 reduced basis is boxed, for ``GroebnerBasis``.  ``is_groebner_basis``
 converts its input to heads once in the same way.
+
+``BuchbergerStats`` holds the run's pair counters; a solve report lists
+its fields in slot order, so a counter added there is reported with no
+other change.  The pair budget is tested before a pair is taken, so the
+counters of a run cut short by ``PairLimitExceeded`` still account for
+every pair: reduced, dropped or pending.
 """
 
 from __future__ import annotations
@@ -60,8 +66,7 @@ class PairLimitExceeded(RuntimeError):
         super().__init__(
             f"pair reduction limit {limit} exceeded "
             f"(pairs considered: {stats.pairs_considered}, "
-            f"reductions: {stats.pairs_reduced}, "
-            f"basis elements so far: {stats.elements_added})"
+            f"reductions: {stats.pairs_reduced})"
         )
         self.limit = limit
         self.stats = stats
@@ -72,13 +77,13 @@ class BuchbergerStats(Record):
 
     Every pair formed is considered once: it is reduced, dropped by a
     criterion, or (only when the pair budget runs out) still pending.
+    Each reduction that is not to zero adds one basis element.
     """
 
     __slots__ = (
         "pairs_considered",
         "pairs_reduced",
         "zero_reductions",
-        "elements_added",
         "pairs_dropped_coprime",
         "pairs_dropped_mf",
         "pairs_dropped_bk",
@@ -125,19 +130,18 @@ def buchberger(generators: Iterable[MultiPoly]) -> GroebnerBasis:
         raise ValueError("no nonzero generators")
 
     while pairs:
+        # the budget is tested before a pair is taken, so it stays pending
+        if counts["pairs_reduced"] >= DEFAULT_PAIR_LIMIT:
+            raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, BuchbergerStats(**counts))
         pair = min(pairs)  # normal strategy: lex-smallest lcm, then (i, j)
         pairs.remove(pair)
         _, i, j = pair
-
         counts["pairs_reduced"] += 1
-        if counts["pairs_reduced"] > DEFAULT_PAIR_LIMIT:
-            raise PairLimitExceeded(DEFAULT_PAIR_LIMIT, BuchbergerStats(**counts))
 
         remainder = _reduce(_s_work(heads[i], heads[j]), [heads[t] for t in active])
         if not remainder:
             counts["zero_reductions"] += 1
             continue
-        counts["elements_added"] += 1
         install(remainder)
 
     reduced = _inter_reduce([heads[t] for t in active])

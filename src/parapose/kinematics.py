@@ -242,18 +242,6 @@ def solve_posture(problem: ManipulatorProblem) -> SolutionReport:
     # eliminant and its constant term is nonzero
     self_reciprocal = is_self_reciprocal(eliminant)
 
-    stats = basis.stats
-    diagnostics = {
-        "basis_size": len(basis.elements),
-        "pairs_considered": stats.pairs_considered,
-        "pairs_reduced": stats.pairs_reduced,
-        "zero_reductions": stats.zero_reductions,
-        "pairs_dropped_coprime": stats.pairs_dropped_coprime,
-        "pairs_dropped_mf": stats.pairs_dropped_mf,
-        "pairs_dropped_bk": stats.pairs_dropped_bk,
-        "eliminant_degree": eliminant.degree,
-    }
-
     # a degree-0 eliminant is a nonzero constant: the variety is empty
     empty_variety = eliminant.degree == 0
     roots, iterations = (), 0
@@ -270,8 +258,15 @@ def solve_posture(problem: ManipulatorProblem) -> SolutionReport:
     timings["back_substitute"] = (time.monotonic() - t3) * 1e3
     timings["total"] = (time.monotonic() - t0) * 1e3
 
-    diagnostics["root_iterations"] = iterations
-    diagnostics["physical_count"] = sum(1 for t in tuples if t.physical)
+    # every BuchbergerStats field is a pair counter of the report
+    stats = basis.stats
+    diagnostics = {
+        "basis_size": len(basis.elements),
+        **{name: getattr(stats, name) for name in stats.__slots__},
+        "eliminant_degree": eliminant.degree,
+        "root_iterations": iterations,
+        "physical_count": sum(1 for t in tuples if t.physical),
+    }
 
     return SolutionReport(
         problem=problem,

@@ -10,7 +10,8 @@ Polynomials are immutable ``_record.Record`` values.  Their one field,
 ``terms``, is a tuple of ``(monomial, coefficient)`` pairs strictly
 descending in lex order with no zero coefficients.  They print through
 a small canonical text grammar (e.g. ``CCAL^4 - 213/50*CCAL^3 + 1`` or
-``(-14080/2017+2880/2017*I)*CCAL^3 + CCC``).  The parser for that
+``(-14080/2017+2880/2017*I)*CCAL^3 + CCC``), whose coefficients are
+printed by ``str(GaussianRational)``.  The parser for that
 grammar, ``parse_poly``, lives in ``parapose.polytext`` and is loaded
 when one of its names is first read from this module.
 
@@ -59,7 +60,8 @@ by 1/lc(d), so its identity holds for the divisors as given.
 ``groebner.buchberger`` converts its generators once, keeps every
 element as a head and boxes only the reduced basis.  Plain sums and
 products of polynomials use the boxed operators, and ``evaluate`` is
-exact at ``GaussianRational`` coordinates.
+exact at ``GaussianRational`` coordinates; it takes exactly N_VARS
+coordinates.
 """
 
 from __future__ import annotations
@@ -291,7 +293,10 @@ class MultiPoly(Record):
         At ``GaussianRational`` coordinates the value is the exact
         ``GaussianRational``, each power formed by repeated products; at
         complex (or float) coordinates it is a complex value in doubles.
+        A point without exactly N_VARS coordinates is a ValueError.
         """
+        if len(point) != N_VARS:
+            raise ValueError(f"expected {N_VARS} coordinates, got {len(point)}")
         if all(isinstance(x, GaussianRational) for x in point):
             total = _ZERO
             for mono, coeff in self.terms:
@@ -348,24 +353,25 @@ def _mono_text(mono) -> str:
 
 
 def _term_text(mono, coeff: GaussianRational):
-    """(sign, body) where the sign is rendered by the term separator."""
+    """(sign, body) where the sign is rendered by the term separator.
+
+    The body holds the coefficient's own text, ``str(coeff)``, negated
+    when the sign moves into the separator (a coefficient with one
+    nonzero part, which is negative); a coefficient with both parts
+    nonzero is kept whole in parentheses, and a coefficient of 1 before
+    a monomial is left out.
+    """
+    sign = 1
+    if coeff.re and coeff.im:
+        text = f"({coeff})"
+    else:
+        if (coeff.re or coeff.im) < 0:
+            sign, coeff = -1, -coeff
+        text = str(coeff)
     mono_s = _mono_text(mono)
-    if coeff.im == 0:
-        q = coeff.re
-        sign = 1 if q > 0 else -1
-        a = abs(q)
-        if not mono_s:
-            return sign, str(a)
-        if a == 1:
-            return sign, mono_s
-        return sign, f"{a}*{mono_s}"
-    if coeff.re == 0:
-        b = coeff.im
-        sign = 1 if b > 0 else -1
-        imag = "I" if abs(b) == 1 else f"{abs(b)}*I"
-        return sign, imag if not mono_s else f"{imag}*{mono_s}"
-    body = f"({coeff})"
-    return 1, body if not mono_s else f"{body}*{mono_s}"
+    if not mono_s:
+        return sign, text
+    return sign, mono_s if text == "1" else f"{text}*{mono_s}"
 
 
 # -- the working form: parts, work dicts and heads (see the module docstring)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,6 +15,7 @@ import pytest
 
 import parapose
 from parapose.cli import (
+    _COMMANDS,
     ProblemFileError,
     _utc_isoformat,
     main,
@@ -718,6 +720,17 @@ class TestHelp:
         assert captured.out.startswith(f"usage: parapose {command}")
         assert flag in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_command_help_lists_every_flag(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        usage = lines[0]
+        for flag, (metavar, text) in _COMMANDS[command][1].items():
+            spelled = flag if metavar is None else f"{flag} {metavar}"
+            assert spelled in usage
+            assert any(re.fullmatch(rf"  {re.escape(spelled)} +{re.escape(text)}", line)
+                       for line in lines), (flag, lines)
 
 
 class TestFlags:

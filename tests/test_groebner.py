@@ -177,7 +177,19 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "DEFAULT_PAIR_LIMIT", 3)
         with pytest.raises(PairLimitExceeded) as info:
             buchberger(ideal1)
-        assert info.value.stats.pairs_reduced > 3
+        stats = info.value.stats
+        # the budget is tested before a pair is taken: three pairs were
+        # reduced and the next one is still pending
+        assert stats.pairs_reduced == 3
+        dropped = stats.pairs_dropped_coprime + stats.pairs_dropped_mf + stats.pairs_dropped_bk
+        assert stats.pairs_considered > stats.pairs_reduced + dropped
+        assert str(info.value) == (
+            "pair reduction limit 3 exceeded (pairs considered: 45, reductions: 3)"
+        )
+
+    def test_pair_limit_reached_exactly_completes(self, ideal1, basis1, monkeypatch):
+        monkeypatch.setattr(groebner, "DEFAULT_PAIR_LIMIT", basis1.stats.pairs_reduced)
+        assert buchberger(ideal1).stats == basis1.stats
 
     def test_random_small_systems(self):
         rng = random.Random(20260809)

@@ -18,7 +18,7 @@ from parapose.kinematics import (
     solve_posture,
     to_angles,
 )
-from parapose.groebner import GroebnerBasis, buchberger
+from parapose.groebner import BuchbergerStats, GroebnerBasis, buchberger
 from parapose.kinematics import PostureAngles, _extend, _read_shape
 from parapose.multipoly import MultiPoly, parse_poly
 from parapose.rootfind import eval_poly, find_roots
@@ -321,6 +321,15 @@ class TestSolvePosture:
             "pairs_dropped_bk": 1,
         }
 
+    @pytest.mark.parametrize("name", ["problem1", "problem2"])
+    def test_diagnostics_carry_every_pair_counter(self, name, request):
+        report = solve_posture(request.getfixturevalue(name))
+        diag = report.diagnostics
+        assert list(diag) == ["basis_size", *BuchbergerStats.__slots__,
+                              "eliminant_degree", "root_iterations", "physical_count"]
+        stats = report.basis.stats
+        assert all(diag[f] == getattr(stats, f) for f in BuchbergerStats.__slots__)
+
     def test_inconsistent_system_reports_empty_variety(self, problem1, monkeypatch):
         import parapose.kinematics as kin
         from parapose.groebner import buchberger
@@ -429,6 +438,26 @@ class TestShapeLemma:
             assert_shape_lemma(basis)
         except ShapePositionError:
             pass  # not in shape position: nothing is read from it
+
+
+def assert_every_pair_accounted(stats):
+    """In a finished run every pair considered was reduced or dropped."""
+    assert stats.pairs_considered == (
+        stats.pairs_reduced + stats.pairs_dropped_coprime
+        + stats.pairs_dropped_mf + stats.pairs_dropped_bk
+    ), stats
+
+
+class TestPairAccounting:
+    def test_bundled_problems(self, basis1, basis2):
+        for basis in (basis1, basis2):
+            assert_every_pair_accounted(basis.stats)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    def test_generic_draws(self, seed):
+        ideal = build_ideal(generic_problem(random.Random(seed)))
+        assert_every_pair_accounted(buchberger(ideal).stats)
 
 
 class TestEliminantConstantTerm:

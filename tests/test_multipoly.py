@@ -303,6 +303,25 @@ class TestTextForm:
         assert MultiPoly().to_text() == "0"
         assert parse_poly("0").is_zero
 
+    @pytest.mark.parametrize(
+        "coeff, lead, inner",
+        [
+            (GaussianRational(1), "CA^2", "+ CA^2"),
+            (GaussianRational(-1), "-CA^2", "- CA^2"),
+            (GaussianRational(Fraction(-7, 3)), "-7/3*CA^2", "- 7/3*CA^2"),
+            (GaussianRational(0, 1), "I*CA^2", "+ I*CA^2"),
+            (GaussianRational(0, Fraction(-1, 2)), "-1/2*I*CA^2", "- 1/2*I*CA^2"),
+            (GaussianRational(2, -1), "(2-I)*CA^2", "+ (2-I)*CA^2"),
+            (GaussianRational(Fraction(-1, 2), 3), "(-1/2+3*I)*CA^2", "+ (-1/2+3*I)*CA^2"),
+        ],
+    )
+    def test_term_text(self, coeff, lead, inner):
+        # the coefficient's own text; a negative sole part moves to the sign
+        term = MultiPoly.constant(coeff) * CA**2
+        assert term.to_text() == lead
+        assert (CA**3 + term).to_text() == f"CA^3 {inner}"
+        assert (term - 1).to_text() == f"{lead} - 1"
+
     def test_grammar_examples(self):
         p = parse_poly("(-14080/2017+2880/2017*I)*CCA^3 + CC")
         assert p.coefficient(mono(CCA=3)) == GaussianRational(
@@ -453,6 +472,14 @@ class TestExactEvaluation:
 
     def test_zero_polynomial(self):
         assert MultiPoly().evaluate([GaussianRational(2)] * 8) == GaussianRational(0)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "complex"])
+    @pytest.mark.parametrize("length", [0, 1, 7, 9])
+    def test_point_needs_every_coordinate(self, exact, length):
+        x = GaussianRational(5) if exact else 5j
+        for p in (2 * CCAL + 1, CA + 1):
+            with pytest.raises(ValueError, match=f"expected 8 coordinates, got {length}"):
+                p.evaluate([x] * length)
 
     @given(st.one_of(polys, wide_polys), st.lists(st.one_of(coeffs, special_coeffs), min_size=8, max_size=8))
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
