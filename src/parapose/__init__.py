@@ -43,7 +43,6 @@ from .multipoly import (
     MultiPoly,
     N_VARS,
     VAR_NAMES,
-    multi_divide,
     normal_form,
     s_polynomial,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "N_VARS",
     "VAR_NAMES",
     "PolyParseError",
-    "multi_divide",
     "normal_form",
     "parse_poly",
     "s_polynomial",

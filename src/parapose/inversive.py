@@ -31,15 +31,24 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _positive_finite(x, name: str) -> float:
+    """x as a float; a bool, or a value not positive and finite, is a
+    ValueError."""
+    value = float(x)
+    if isinstance(x, bool) or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 class InversionCircle(Record):
     __slots__ = ("center", "radius")
     _defaults = {"center": 0j, "radius": 1.0}
 
     def _check(self):
         object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+        object.__setattr__(self, "radius", _positive_finite(self.radius, "radius"))
+        if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
+            raise ValueError("center must be finite")
 
 
 class UniPoly(Record):
@@ -153,8 +162,11 @@ def harmonic_conjugate_check(z: float, z_prime: float, tol: float = DEFAULT_TOL)
     """Directed-ratio test: Z'X/Z'Y = -ZX/ZY with X = -1, Y = 1.
 
     Uses the summed-ratio form |(z'+1)/(z'-1) + (z+1)/(z-1)| <= tol,
-    which stays finite for arguments near the circle.
+    which stays finite for arguments near the circle.  tol follows the
+    radius rule of InversionCircle: a bool, or a value not positive and
+    finite, is a ValueError.
     """
+    tol = _positive_finite(tol, "tol")
     z = float(z)
     z_prime = float(z_prime)
     if z in (-1.0, 1.0) or z_prime in (-1.0, 1.0):

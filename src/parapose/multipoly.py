@@ -19,7 +19,7 @@ The constructor's ``_check`` is the one like-term rule: it validates
 the pairs, sums repeated monomials, drops zero coefficients and sorts.
 Sums, differences, products and formal conjugates are built through it.
 Values that are normalised by construction (negation, term shifts and
-the division loop's results) are wrapped by the private
+the reduction loop's results) are wrapped by the private
 ``MultiPoly._trusted(terms)`` instead, which takes a tuple of
 ``(monomial, coefficient)`` pairs that is already strictly descending
 and free of zero coefficients, and checks nothing.
@@ -34,29 +34,27 @@ reduced is a dict {monomial: parts}, and a monic polynomial is a head,
 pairs and whose leading coefficient 1 is not stored.
 
 - One reduction loop, ``_reduce``, takes a work dict and a list of
-  heads and returns the remainder in parts, recording quotients only
-  when asked.  Each step removes the term being reduced and subtracts
-  that term times the head's tail only: the leading product would
-  cancel the term exactly, so it is never formed.  Each tail term
-  updates its monomial by ``gaussrat._sub_mul_parts`` (``old - qc*dc``,
-  one gcd per part, a missing term counting as 0), and a term whose
-  parts both cancel is deleted.
+  heads and returns the remainder in parts.  Each step removes the
+  term being reduced and subtracts that term times the head's tail
+  only: the leading product would cancel the term exactly, so it is
+  never formed.  Each tail term updates its monomial by
+  ``gaussrat._sub_mul_parts`` (``old - qc*dc``, one gcd per part, a
+  missing term counting as 0), and a term whose parts both cancel is
+  deleted.
 - One S-polynomial rule, ``_s_work``: both heads are monic, so the
   leading terms cancel and S = x^a*tail_f - x^b*tail_g, one monomial
   shift and one step of the loop.
 - One rule divides by a leading coefficient, ``_divided``: it
   multiplies parts by 1/lc (``gaussrat._neg_inverse_parts``, then the
-  loop's step).  It makes heads (``_monic_head``), ``monic()`` is its
-  boxed form, and ``multi_divide`` scales each quotient by it.
+  loop's step).  It makes heads (``_monic_head``), and ``monic()`` is
+  its boxed form.
 
 All gcd and denominator arithmetic stays in ``gaussrat``.  Coefficients
 are boxed as ``GaussianRational`` only at the public functions:
-``normal_form``, ``multi_divide`` and ``s_polynomial`` convert their
-arguments once per call and box their results.  Each divisor becomes the
-head of d/lc(d), which changes no result: a normal form modulo d equals
-the normal form modulo d/lc(d), and S(a*f, b*g) == S(f, g) for nonzero
-scalars a and b.  ``multi_divide`` scales each divisor's quotient once
-by 1/lc(d), so its identity holds for the divisors as given.
+``normal_form`` and ``s_polynomial`` convert their arguments once per
+call and box their results.  Each divisor becomes the head of d/lc(d),
+which changes no result: a normal form modulo d equals the normal form
+modulo d/lc(d), and S(a*f, b*g) == S(f, g) for nonzero scalars a and b.
 ``groebner.buchberger`` converts its generators once, keeps every
 element as a head and boxes only the reduced basis.  Plain sums and
 products of polynomials use the boxed operators, and ``evaluate`` is
@@ -86,9 +84,7 @@ __all__ = [
     "MultiPoly",
     "mono_mul",
     "mono_divides",
-    "mono_div",
     "mono_lcm",
-    "multi_divide",
     "normal_form",
     "s_polynomial",
     "parse_poly",
@@ -117,14 +113,6 @@ def mono_mul(m1, m2):
 def mono_divides(m1, m2) -> bool:
     """True iff m1 divides m2."""
     return all(map(le, m1, m2))
-
-
-def mono_div(m1, m2):
-    """m1 / m2; requires divisibility."""
-    q = tuple(map(sub, m1, m2))
-    if any(e < 0 for e in q):
-        raise ValueError(f"{m2} does not divide {m1}")
-    return q
 
 
 def mono_lcm(m1, m2):
@@ -385,8 +373,9 @@ def _to_work(f: MultiPoly) -> dict:
 
 
 def _divided(terms, lc: tuple) -> tuple:
-    """The one division by a leading coefficient: (monomial, parts) pairs
-    times 1/lc, on parts; an lc of 1 leaves them as they are."""
+    """The one division by a leading coefficient, used by ``_monic_head``:
+    (monomial, parts) pairs times 1/lc, on parts; an lc of 1 leaves them as
+    they are."""
     if lc == _ONE_PARTS:
         return tuple(terms)
     factor = _neg_inverse_parts(lc)
@@ -429,27 +418,22 @@ def _sub_shifted(work: dict, coeff: tuple, qm, tail) -> None:
             work[m] = c
 
 
-def _reduce(work: dict, heads: Sequence[tuple], quotients=None) -> tuple:
+def _reduce(work: dict, heads: Sequence[tuple]) -> tuple:
     """Remainder of the work dict modulo an ordered list of heads, as
     descending (monomial, parts) pairs; work is consumed.
 
-    When quotients is a list of one dict per head, the quotient terms (in
-    parts) are recorded there, keyed by monomial in descending order.  The
-    term being reduced is always the largest left, so it only moves down:
-    the remainder and each quotient come out strictly descending.
+    The term being reduced is always the largest left, so it only moves
+    down: the remainder comes out strictly descending.
     """
     remainder = []
     while work:
         mono = max(work)
         coeff = work.pop(mono)
-        for i, (lm, tail) in enumerate(heads):
+        for lm, tail in heads:
             if mono_divides(lm, mono):
-                qm = tuple(map(sub, mono, lm))
-                if quotients is not None:
-                    quotients[i][qm] = coeff
                 # the head is monic, so the leading product would cancel
                 # the popped term: only the tail is subtracted
-                _sub_shifted(work, coeff, qm, tail)
+                _sub_shifted(work, coeff, tuple(map(sub, mono, lm)), tail)
                 break
         else:
             remainder.append((mono, coeff))
@@ -468,33 +452,17 @@ def _s_work(f: tuple, g: tuple) -> dict:
     return work
 
 
-def _divisor_heads(divisors: Sequence[MultiPoly]) -> list:
+def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
+    """Remainder of f on division by an ordered list of divisors.
+
+    No term of the remainder is divisible by a divisor's leading
+    monomial; a term divisible by several is reduced by the first divisor
+    in list order.  f - remainder lies in the ideal of the divisors, and
+    an empty list returns f.  A zero divisor is a ZeroDivisionError.
+    """
     if any(d.is_zero for d in divisors):
         raise ZeroDivisionError("zero polynomial among divisors")
-    return [_head(d) for d in divisors]
-
-
-def multi_divide(f: MultiPoly, divisors: Sequence[MultiPoly]):
-    """Divide f by an ordered list of divisors.
-
-    Returns (quotients, remainder) with f == sum(q_i * g_i) + r exactly
-    and no term of r divisible by any divisor's leading monomial.  Ties
-    go to the first divisor in list order.
-    """
-    if not divisors:
-        raise ValueError("empty divisor list")
-    quotients = [{} for _ in divisors]
-    remainder = _reduce(_to_work(f), _divisor_heads(divisors), quotients)
-    # q * (g / lc(g)) == (q / lc(g)) * g
-    return [
-        _box(_divided(q.items(), _parts(g.leading_coefficient)))
-        for q, g in zip(quotients, divisors)
-    ], _box(remainder)
-
-
-def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
-    """Remainder of multi_divide without quotient bookkeeping."""
-    return _box(_reduce(_to_work(f), _divisor_heads(divisors)))
+    return _box(_reduce(_to_work(f), [_head(d) for d in divisors]))
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:

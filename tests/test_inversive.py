@@ -64,6 +64,18 @@ class TestInversionCircle:
         with pytest.raises(ValueError):
             InversionCircle(0j, -2.0)
 
+    @pytest.mark.parametrize("radius", [True, float("nan"), float("inf")])
+    def test_radius_must_be_finite_and_not_bool(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            InversionCircle(0j, radius)
+
+    @pytest.mark.parametrize(
+        "center", [complex("nan"), complex("inf"), complex(1, float("nan")), complex(0, float("-inf"))]
+    )
+    def test_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            InversionCircle(center, 1.0)
+
 
 class TestInvertInCircle:
     def test_real_axis_reciprocal(self):
@@ -216,6 +228,14 @@ class TestHarmonicConjugates:
 
     def test_unrelated_pair(self):
         assert not harmonic_conjugate_check(2.0, 3.0, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), True, False])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # the radius rule of InversionCircle; (2.0, 0.5) is harmonic, the
+        # other pairs are not
+        for pair in ((2.0, 0.5), (2.0, 3.0), (2.0, 0.6)):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                harmonic_conjugate_check(*pair, tol=tol)
 
     @pytest.mark.parametrize("pair", [(1.0, 0.3), (0.3, -1.0)])
     def test_degenerate_rejected(self, pair):

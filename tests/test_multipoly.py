@@ -14,11 +14,9 @@ from parapose.multipoly import (
     MultiPoly,
     PolyParseError,
     VAR_NAMES,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    multi_divide,
     normal_form,
     parse_poly,
     s_polynomial,
@@ -104,7 +102,7 @@ def _is_monomial(m):
     return type(m) is tuple and len(m) == 8 and all(type(e) is int for e in m)
 
 
-# (m1, m2) pairs: unrelated, or m2 a multiple of m1 so that division succeeds
+# (m1, m2) pairs: unrelated, or m2 a multiple of m1 so that m1 divides m2
 monomial_pairs = st.one_of(
     st.tuples(monomials, monomials),
     st.tuples(monomials, monomials).map(
@@ -130,13 +128,6 @@ class TestMonomialHelpers:
         lcm = mono_lcm(m1, m2)
         assert _is_monomial(lcm)
         assert lcm == tuple(max(a, b) for a, b in zip(m1, m2))
-        if divides:
-            quotient = mono_div(m2, m1)
-            assert _is_monomial(quotient)
-            assert quotient == tuple(b - a for a, b in zip(m1, m2))
-        else:
-            with pytest.raises(ValueError):
-                mono_div(m2, m1)
 
 
 class TestLeadingTerm:
@@ -225,42 +216,45 @@ class TestArithmetic:
                 assert clone == p and clone.terms == p.terms
 
 
+def assert_textbook_remainder(f, divisors):
+    """normal_form(f, divisors) is the textbook remainder r, whose quotients
+    q_i witness f == sum(q_i * g_i) + r, and no term of r is divisible by a
+    divisor's leading monomial."""
+    quotients, want = textbook_division(f, divisors)
+    remainder = normal_form(f, divisors)
+    assert remainder.terms == want.terms
+    rebuilt = remainder
+    for q, g in zip(quotients, divisors):
+        rebuilt = rebuilt + q * g
+    assert rebuilt == f
+    for m, _ in remainder.terms:
+        assert not any(mono_divides(d.leading_monomial, m) for d in divisors)
+    return remainder
+
+
 class TestDivision:
     def test_self_division(self):
         f5 = CA * CCA - 1
-        quotients, remainder = multi_divide(f5, [f5])
-        assert quotients == [MultiPoly.constant(GaussianRational(1))]
-        assert remainder.is_zero
+        assert normal_form(f5, [f5]).is_zero
 
     def test_shifted_variable(self):
-        quotients, remainder = multi_divide(CA, [CA - 1])
-        assert quotients == [MultiPoly.constant(GaussianRational(1))]
-        assert remainder == MultiPoly.constant(GaussianRational(1))
+        assert normal_form(CA, [CA - 1]) == MultiPoly.constant(GaussianRational(1))
 
     def test_ideal_membership_with_reconstruction(self, ideal1, golden_basis1):
-        f1 = ideal1[0]
-        quotients, remainder = multi_divide(f1, golden_basis1)
-        assert remainder.is_zero
-        rebuilt = MultiPoly()
-        for q, g in zip(quotients, golden_basis1):
-            rebuilt = rebuilt + q * g
-        assert rebuilt == f1
+        assert assert_textbook_remainder(ideal1[0], golden_basis1).is_zero
 
     @given(st.one_of(polys, wide_polys),
            st.lists(st.one_of(nonzero_polys, wide_nonzero), min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_division_identity(self, f, divisors):
-        quotients, remainder = multi_divide(f, divisors)
-        rebuilt = MultiPoly()
-        for q, g in zip(quotients, divisors):
-            rebuilt = rebuilt + q * g
-        assert rebuilt + remainder == f
-        for m, _ in remainder.terms:
-            assert not any(mono_divides(d.leading_monomial, m) for d in divisors)
+        assert_textbook_remainder(f, divisors)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            multi_divide(X, [MultiPoly()])
+            normal_form(X, [MultiPoly()])
+        with pytest.raises(ZeroDivisionError):
+            normal_form(X, [X - 1, MultiPoly()])
+        assert normal_form(X + 1, []) == X + 1
 
     def test_non_monic_tall_divisors_match_textbook(self):
         tall = GaussianRational(Fraction(3**130, 2**210 + 1), Fraction(-(5**90), 7**75))
@@ -269,9 +263,6 @@ class TestDivision:
         quotients, remainder = textbook_division(f, divisors)
         assert all(not q.is_zero for q in quotients) and not remainder.is_zero
         assert normal_form(f, divisors).terms == remainder.terms
-        got_q, got_r = multi_divide(f, divisors)
-        assert got_r.terms == remainder.terms
-        assert [q.terms for q in got_q] == [q.terms for q in quotients]
 
 
 class TestSPolynomial:
@@ -391,13 +382,9 @@ class TestTermInvariant:
            st.lists(st.one_of(dense_nonzero, wide_dense_nonzero), min_size=1, max_size=3))
     @settings(max_examples=160, deadline=None)
     def test_division(self, f, divisors):
-        quotients, remainder = multi_divide(f, divisors)
-        for r in quotients + [remainder, normal_form(f, divisors)]:
-            assert_canonical(r)
-        assert normal_form(f, divisors) == remainder
-        want_q, want_r = textbook_division(f, divisors)
-        assert remainder.terms == want_r.terms
-        assert [q.terms for q in quotients] == [q.terms for q in want_q]
+        remainder = normal_form(f, divisors)
+        assert_canonical(remainder)
+        assert remainder.terms == textbook_division(f, divisors)[1].terms
 
     @given(dense_nonzero, dense_nonzero)
     @settings(max_examples=50, deadline=None)
@@ -431,11 +418,6 @@ class TestMonicDivisors:
         monic = [g.monic() for g, _ in scaled]
         rescaled = [g.monic() * c for g, c in scaled]
         assert normal_form(f, rescaled) == normal_form(f, monic)
-        q_monic, r_monic = multi_divide(f, monic)
-        q_rescaled, r_rescaled = multi_divide(f, rescaled)
-        assert r_rescaled == r_monic
-        for qs, qm, (_, c) in zip(q_rescaled, q_monic, scaled):
-            assert qs * c == qm
 
     def test_scaled_golden_basis(self, ideal1, golden_basis1):
         scaled = [g * GaussianRational(Fraction(-3, 7), 2) for g in golden_basis1]
@@ -534,15 +516,8 @@ class TestWorkingForm:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     def test_non_monic_division_identity(self, f, scaled):
         divisors = [g.monic() * c for g, c in scaled]
-        quotients, remainder = multi_divide(f, divisors)
-        rebuilt = remainder
-        for q, g in zip(quotients, divisors):
-            rebuilt = rebuilt + q * g
-        assert rebuilt == f
-        assert normal_form(f, divisors) == remainder
+        remainder = assert_textbook_remainder(f, divisors)
         assert _box(_reduce(_to_work(f), [_head(g) for g in divisors])) == remainder
-        for m, _ in remainder.terms:
-            assert not any(mono_divides(g.leading_monomial, m) for g in divisors)
 
     @given(st.lists(st.dictionaries(dense_monomials, st.one_of(coeffs, special_coeffs), min_size=1, max_size=3)
                     .map(MultiPoly).filter(lambda p: not p.is_zero), min_size=1, max_size=3))

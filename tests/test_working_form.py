@@ -27,7 +27,6 @@ from parapose.multipoly import (
     _s_work,
     _to_work,
     mono_divides,
-    multi_divide,
     normal_form,
     parse_poly,
     s_polynomial,
@@ -120,13 +119,10 @@ class TestReductionLoop(unittest.TestCase):
         ]
         for divisors in divisor_sets:
             with self.subTest(divisors=divisors):
-                want_q, want_r = textbook_division(f, divisors)
+                want_r = textbook_division(f, divisors)[1]
                 got = _box(_reduce(_to_work(f), [_head(g) for g in divisors]))
                 self.assertEqual(got.terms, want_r.terms)
                 self.assertEqual(normal_form(f, divisors).terms, want_r.terms)
-                quotients, remainder = multi_divide(f, divisors)
-                self.assertEqual(remainder.terms, want_r.terms)
-                self.assertEqual([q.terms for q in quotients], [q.terms for q in want_q])
 
 
 class TestReducedBasis(unittest.TestCase):

@@ -2,8 +2,10 @@
 GaussianRational and MultiPoly only: the oracles for the reduction loop
 and the S-polynomial rule.  Standard library only."""
 
+from operator import sub
+
 from parapose.gaussrat import GaussianRational
-from parapose.multipoly import MultiPoly, mono_div, mono_divides, mono_lcm, mono_mul
+from parapose.multipoly import MultiPoly, mono_divides, mono_lcm, mono_mul
 
 
 def textbook_division(f, divisors):
@@ -17,7 +19,7 @@ def textbook_division(f, divisors):
         for q, g in zip(quotients, divisors):
             lm, lc = g.leading_term
             if mono_divides(lm, m):
-                qm, qc = mono_div(m, lm), work[m] / lc
+                qm, qc = tuple(map(sub, m, lm)), work[m] / lc
                 q[qm] = qc
                 for gm, gc in g.terms:
                     t = mono_mul(qm, gm)
@@ -37,4 +39,5 @@ def textbook_s_polynomial(f, g):
     MultiPoly with coefficient 1/lc."""
     (fm, fc), (gm, gc) = f.leading_term, g.leading_term
     lcm = mono_lcm(fm, gm)
-    return MultiPoly({mono_div(lcm, fm): 1 / fc}) * f - MultiPoly({mono_div(lcm, gm): 1 / gc}) * g
+    fq, gq = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
+    return MultiPoly({fq: 1 / fc}) * f - MultiPoly({gq: 1 / gc}) * g
