@@ -46,7 +46,7 @@ from .multipoly import (
     normal_form,
     s_polynomial,
 )
-from .rootfind import ConvergenceError, RootSet, eval_poly, find_roots
+from .rootfind import ConvergenceError, RootSet, find_roots
 from .svgdraw import VertexMismatchError, render_posture
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "harmonic_conjugate_check",
     "RootSet",
     "ConvergenceError",
-    "eval_poly",
     "find_roots",
     "ManipulatorProblem",
     "SolutionTuple",

@@ -32,9 +32,12 @@ DEFAULT_TOL = 1e-9
 
 
 def _positive_finite(x, name: str) -> float:
-    """x as a float; a bool, or a value not positive and finite, is a
-    ValueError."""
-    value = float(x)
+    """x as a float; a bool, or a value not positive and finite (a number
+    beyond double range included), is a ValueError."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
     if isinstance(x, bool) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite")
     return value
@@ -45,7 +48,10 @@ class InversionCircle(Record):
     _defaults = {"center": 0j, "radius": 1.0}
 
     def _check(self):
-        object.__setattr__(self, "center", complex(self.center))
+        try:
+            object.__setattr__(self, "center", complex(self.center))
+        except OverflowError:  # a number beyond double range
+            raise ValueError("center must be finite") from None
         object.__setattr__(self, "radius", _positive_finite(self.radius, "radius"))
         if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
             raise ValueError("center must be finite")

@@ -7,7 +7,9 @@ conditions).  The reduced lex Groebner basis triangularises the system:
 its level-7 elimination ideal holds a single univariate eliminant whose
 roots seed a back-substitution through the shape-position basis.
 Solutions are classified as physical postures when every direction
-variable is exactly paired with its conjugate on the unit circle.
+variable lies on the unit circle and its conjugate variable equals its
+complex conjugate, both to within the fixed ``DEFAULT_PHYSICAL_TOL``
+(1e-6).
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ when one of its names is first read from this module.
 The constructor's ``_check`` is the one like-term rule: it validates
 the pairs, sums repeated monomials, drops zero coefficients and sorts.
 Sums, differences, products and formal conjugates are built through it.
-Values that are normalised by construction (negation, term shifts and
-the reduction loop's results) are wrapped by the private
+Values that are normalised by construction (negation, products by a
+nonzero scalar and the reduction loop's results) are wrapped by the private
 ``MultiPoly._trusted(terms)`` instead, which takes a tuple of
 ``(monomial, coefficient)`` pairs that is already strictly descending
 and free of zero coefficients, and checks nothing.
@@ -185,13 +185,6 @@ class MultiPoly(Record):
     def leading_coefficient(self) -> GaussianRational:
         return self.leading_term[1]
 
-    def coefficient(self, mono) -> GaussianRational:
-        mono = tuple(mono)
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return _ZERO
-
     # -- ring operations -----------------------------------------------------
 
     def _combine(self, other, negate: bool) -> "MultiPoly":
@@ -225,7 +218,9 @@ class MultiPoly(Record):
         s = exact_operand(other)
         if s is None:
             return NotImplemented
-        return self.term_shift(MONO_ONE, s)
+        if s.is_zero:
+            return MultiPoly()
+        return MultiPoly._trusted(tuple((m, c * s) for m, c in self.terms))
 
     __rmul__ = __mul__
 
@@ -240,26 +235,6 @@ class MultiPoly(Record):
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def term_shift(self, mono, coeff) -> "MultiPoly":
-        """Multiply by the single term coeff * x^mono.
-
-        coeff is an exact scalar by the operators' rule
-        (:func:`~parapose.gaussrat.exact_operand`): a bool is a
-        ValueError, any other type it rejects a TypeError.
-        """
-        mono = _check_mono(mono)
-        s = exact_operand(coeff)
-        if s is None:
-            raise TypeError(f"exact scalar required, got {type(coeff).__name__}")
-        if s.is_zero:
-            return MultiPoly()
-        terms = self.terms
-        if mono != MONO_ONE:
-            terms = tuple((mono_mul(m, mono), c) for m, c in terms)
-        if s != _ONE:
-            terms = tuple((m, c * s) for m, c in terms)
-        return MultiPoly._trusted(terms)
 
     def monic(self) -> "MultiPoly":
         """self / lc(self) by the one division rule, ``_divided``; a

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .gaussrat import GaussianRational
 from .inversive import UniPoly
 
-__all__ = ["RootSet", "ConvergenceError", "eval_poly", "find_roots"]
+__all__ = ["RootSet", "ConvergenceError", "find_roots"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -41,16 +40,6 @@ class RootSet(Record):
     """Roots with multiplicity, their residuals, and iteration metadata."""
 
     __slots__ = ("roots", "residuals", "multiplicities", "iterations")
-
-
-def eval_poly(f: UniPoly, z):
-    """Horner evaluation: exact at a GaussianRational, in doubles otherwise."""
-    if isinstance(z, GaussianRational):
-        acc = GaussianRational(0)
-        for c in reversed(f.coefficients):
-            acc = acc * z + c
-        return acc
-    return _horner_pair([c.to_complex() for c in f.coefficients], complex(z))[0]
 
 
 def _horner_pair(coeffs, z):

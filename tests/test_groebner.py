@@ -251,7 +251,8 @@ class TestElimination:
         g8 = golden_basis1[7]
         assert eliminant.degree == g8.leading_monomial[-1]
         assert list(eliminant.coefficients) == [
-            g8.coefficient((0,) * 7 + (k,)) for k in range(eliminant.degree + 1)
+            dict(g8.terms).get((0,) * 7 + (k,), GaussianRational(0))
+            for k in range(eliminant.degree + 1)
         ]
 
     def test_level_six(self, basis1, golden_basis1):

@@ -28,6 +28,15 @@ def gq(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+# numbers whose float() raises OverflowError: the module's rules still give
+# a ValueError
+BEYOND_DOUBLE = [
+    pytest.param(10**400, id="int-1e400"),
+    pytest.param(-(10**400), id="int-minus-1e400"),
+    pytest.param(Fraction(10**400, 3), id="fraction-1e400"),
+]
+
+
 def exact_poly(*constant_first):
     return UniPoly([gq(*c) if isinstance(c, tuple) else gq(c) for c in constant_first])
 
@@ -64,13 +73,15 @@ class TestInversionCircle:
         with pytest.raises(ValueError):
             InversionCircle(0j, -2.0)
 
-    @pytest.mark.parametrize("radius", [True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("radius", [True, float("nan"), float("inf")] + BEYOND_DOUBLE)
     def test_radius_must_be_finite_and_not_bool(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             InversionCircle(0j, radius)
 
     @pytest.mark.parametrize(
-        "center", [complex("nan"), complex("inf"), complex(1, float("nan")), complex(0, float("-inf"))]
+        "center",
+        [complex("nan"), complex("inf"), complex(1, float("nan")), complex(0, float("-inf"))]
+        + BEYOND_DOUBLE,
     )
     def test_center_must_be_finite(self, center):
         with pytest.raises(ValueError, match="center must be finite"):
@@ -229,7 +240,9 @@ class TestHarmonicConjugates:
     def test_unrelated_pair(self):
         assert not harmonic_conjugate_check(2.0, 3.0, tol=1e-9)
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), True, False])
+    @pytest.mark.parametrize(
+        "tol", [-1.0, 0.0, float("nan"), float("inf"), True, False] + BEYOND_DOUBLE
+    )
     def test_tol_must_be_positive_and_finite(self, tol):
         # the radius rule of InversionCircle; (2.0, 0.5) is harmonic, the
         # other pairs are not

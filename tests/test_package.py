@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +119,21 @@ def test_every_private_top_level_name_is_referenced():
                         if d.startswith("_") and not d.startswith("__")
                         and d not in referenced]
     assert orphans == []
+
+
+def test_every_public_name_is_used_or_documented():
+    # a name in a module's __all__ is read by another module of the package
+    # or of bench/, or the README names it; tests alone do not keep it
+    root = Path(__file__).resolve().parents[1]
+    trees = _module_trees()
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "bench").glob("*.py"))]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for name, tree in trees.items():
+        others = [t for n, t in trees.items() if n != name] + bench
+        loaded = set().union(*map(_loaded, others))
+        unused += [f"{name}: {public}" for public in sorted(_exported(tree))
+                   if not public.startswith("__") and public not in loaded
+                   and not re.search(rf"`{re.escape(public)}\b", readme)]
+    assert unused == []

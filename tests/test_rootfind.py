@@ -7,7 +7,7 @@ import pytest
 from parapose import rootfind
 from parapose.gaussrat import GaussianRational
 from parapose.inversive import UniPoly
-from parapose.rootfind import ConvergenceError, eval_poly, find_roots
+from parapose.rootfind import ConvergenceError, find_roots
 
 from golden import ROOTS_EXAMPLE1, ROOTS_EXAMPLE2
 
@@ -57,25 +57,6 @@ def sample_separated_roots(rng, n, radius=1.1, min_gap=0.15):
         if all(abs(z - s) >= min_gap for s in seeds):
             seeds.append(z)
     return seeds
-
-
-class TestEvalPoly:
-    def test_reference_quartic_at_one(self):
-        # independent oracle: the exact rational sum of the coefficients
-        exact = eval_poly(G8, gq(1))
-        assert exact == gq(Fraction(-1055, 25600))
-        value = eval_poly(G8, 1.0)
-        assert value == pytest.approx(float(Fraction(-1055, 25600)), abs=1e-14)
-
-    def test_constant_term_at_zero(self):
-        assert eval_poly(G8, 0j) == complex(G8.coefficients[0])
-
-    def test_root_of_circle_polynomial(self):
-        f = UniPoly([gq(1), gq(0), gq(1)])  # z^2 + 1
-        assert eval_poly(f, 1j) == 0j
-
-    def test_zero_polynomial(self):
-        assert eval_poly(UniPoly([]), 3.0) == 0j
 
 
 class TestFindRoots:
